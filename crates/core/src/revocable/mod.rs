@@ -28,7 +28,7 @@
 //! use ale_graph::generators;
 //!
 //! let g = generators::complete(4)?;
-//! // Scaled parameters keep the demo fast; see DESIGN.md for modes.
+//! // Scaled parameters keep the demo fast (see `with_scales`).
 //! let params = RevocableParams::paper_blind(1.0, 0.2).with_scales(0.02, 0.05, 1.0);
 //! let result = run_revocable(&g, &params, 1, 64)?;
 //! assert!(result.stabilized);

@@ -1,12 +1,10 @@
 //! The `ale-lab bench` subcommand: in-process microbenchmarks seeding the
 //! repo's perf trajectory.
 //!
-//! Mirrors the two criterion benches in `crates/bench/benches`
-//! (`simulator.rs`, `diffusion.rs`) but runs in-process with plain
-//! [`Instant`] timing, so one binary can emit machine-comparable numbers
-//! without a bench harness: warm up once, estimate the per-iteration
-//! cost, then measure `clamp(budget / cost, 3, 100)` iterations — the
-//! same strategy the workspace's criterion shim uses.
+//! Runs in-process with plain [`Instant`] timing, so one binary can emit
+//! machine-comparable numbers without a bench harness: warm up once,
+//! estimate the per-iteration cost, then measure
+//! `clamp(budget / cost, 3, 100)` iterations.
 //!
 //! Output is three JSON files in the chosen directory (default: the
 //! current directory, i.e. the repo root in CI):
@@ -90,8 +88,7 @@ fn suite_json(suite: &str, quick: bool, cases: &[Case]) -> Value {
     ])
 }
 
-/// All-ports gossip: the simulator-overhead yardstick (mirrors the
-/// criterion bench's `Gossip`).
+/// All-ports gossip: the simulator-overhead yardstick.
 #[derive(Debug, Clone)]
 struct Gossip(u64);
 

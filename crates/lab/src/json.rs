@@ -217,6 +217,91 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(value)
 }
 
+/// The raw text of the top-level field `key` of the JSON object `input`
+/// (a string keeps its quotes and escapes), found by skipping over the
+/// other fields without building a [`Value`] — so checking one field of
+/// every record in a journal costs a scan, not a parse. `None` when
+/// `input` is not an object, lacks the key, or is malformed before it.
+pub(crate) fn raw_field<'a>(input: &'a str, key: &str) -> Option<&'a str> {
+    let bytes = input.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(bytes, &mut pos);
+    expect(bytes, &mut pos, b'{').ok()?;
+    loop {
+        skip_ws(bytes, &mut pos);
+        let name_start = pos;
+        skip_string(bytes, &mut pos)?;
+        let name = &bytes[name_start + 1..pos - 1];
+        skip_ws(bytes, &mut pos);
+        expect(bytes, &mut pos, b':').ok()?;
+        skip_ws(bytes, &mut pos);
+        let value_start = pos;
+        skip_value(bytes, &mut pos)?;
+        if name == key.as_bytes() {
+            return input.get(value_start..pos);
+        }
+        skip_ws(bytes, &mut pos);
+        match bytes.get(pos) {
+            Some(b',') => pos += 1,
+            _ => return None,
+        }
+    }
+}
+
+/// Advances past one string (opening quote at `pos`).
+fn skip_string(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    if bytes.get(*pos) != Some(&b'"') {
+        return None;
+    }
+    *pos += 1;
+    loop {
+        match bytes.get(*pos)? {
+            b'"' => {
+                *pos += 1;
+                return Some(());
+            }
+            b'\\' => *pos += 2,
+            _ => *pos += 1,
+        }
+    }
+}
+
+/// Advances past one value: a string, a container (by bracket depth,
+/// stepping over strings), or a scalar (up to its delimiter).
+fn skip_value(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    match bytes.get(*pos)? {
+        b'"' => skip_string(bytes, pos),
+        b'{' | b'[' => {
+            let mut depth = 0usize;
+            loop {
+                match bytes.get(*pos)? {
+                    b'"' => {
+                        skip_string(bytes, pos)?;
+                        continue;
+                    }
+                    b'{' | b'[' => depth += 1,
+                    b'}' | b']' => depth -= 1,
+                    _ => {}
+                }
+                *pos += 1;
+                if depth == 0 {
+                    return Some(());
+                }
+            }
+        }
+        _ => {
+            let start = *pos;
+            while bytes
+                .get(*pos)
+                .is_some_and(|b| !matches!(b, b',' | b'}' | b']' | b' ' | b'\t' | b'\n' | b'\r'))
+            {
+                *pos += 1;
+            }
+            (*pos > start).then_some(())
+        }
+    }
+}
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -343,13 +428,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest)
+                // Copy the run up to the next quote or escape. Both are
+                // ASCII, so the run ends on a scalar boundary of the
+                // (valid UTF-8) input.
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(run.len());
+                let text = std::str::from_utf8(&run[..len])
                     .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(text);
+                *pos += len;
             }
         }
     }
@@ -396,6 +486,29 @@ pub fn to_json_pretty<T: ToJson>(value: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn raw_field_finds_top_level_fields_only() {
+        let text = r#"{"point": "a\"seed\": 1", "extra": {"seed": 2, "x": [1, {"seed": 3}]}, "seed": 44, "s": "x"}"#;
+        assert_eq!(raw_field(text, "seed"), Some("44"));
+        assert_eq!(raw_field(text, "point"), Some(r#""a\"seed\": 1""#));
+        assert_eq!(raw_field(text, "s"), Some(r#""x""#));
+        assert_eq!(
+            raw_field(text, "extra"),
+            Some(r#"{"seed": 2, "x": [1, {"seed": 3}]}"#)
+        );
+        assert_eq!(raw_field(text, "x"), None);
+        for bad in [
+            "",
+            "[1]",
+            "{",
+            r#"{"seed""#,
+            r#"{"a": 1 "seed": 2}"#,
+            r#"{"a": "#,
+        ] {
+            assert_eq!(raw_field(bad, "seed"), None, "{bad}");
+        }
+    }
 
     #[test]
     fn roundtrip_scalars() {

@@ -38,10 +38,8 @@
 //! * [`report`] — per-phase wall-clock breakdown of a telemetry stream;
 //! * [`mod@bench`] — in-process microbenchmarks writing `BENCH_*.json`;
 //! * [`cli`] — the `ale-lab` binary
-//!   (`list | describe | run | export | merge | check | report | bench | serve`),
-//!   also backing the legacy per-figure binaries in `ale-bench`;
-//! * [`runners`], [`table`], [`fit`] — the shared driver/report plumbing
-//!   (moved here from `ale-bench`, which re-exports them).
+//!   (`list | describe | run | export | merge | check | report | bench | serve`);
+//! * [`runners`], [`table`], [`fit`] — the shared driver/report plumbing.
 //!
 //! ## Quickstart
 //!

@@ -6,32 +6,33 @@
 //! validates that the shards really belong to one logical sweep — same
 //! scenario, master seed, seed count, quick flag, resolved space, and
 //! shard divisor; distinct shard indices; disjoint grids — and that each
-//! shard is **whole**: a manifest still marked incomplete, a truncated
-//! `trials.jsonl`, or a record set that does not cover every
-//! `(grid point, seed index)` key the shard's manifest promises is
-//! rejected with a diagnostic naming the shard and the missing keys
-//! (`run --resume` the shard first).
+//! shard is **whole**: a manifest still marked incomplete, a torn
+//! `trials.db` journal, a journal entry [`store::read_trials`] rejects,
+//! or a journal that does not hold every `(grid point, seed index)` key
+//! the shard's manifest promises is refused with a diagnostic naming the
+//! shard and the missing keys (`run --resume` the shard first).
 //!
 //! The union itself is a store union over keys: every grid point carries
-//! its full-grid *position* (stored in v2 manifests; reconstructed from
-//! the shard arithmetic for older ones), the merged grid is the points
-//! sorted by position, and records follow their points. When all `k`
-//! shards are present that order **is** the unsharded run's, so the
-//! merged directory is byte-identical to what `--shard 0/1` would have
-//! written — `trials.jsonl`, `trials.csv`, and the compacted `trials.db`
-//! journal alike. A partial union keeps per-point positions in its
-//! manifest and records which slices it contains (e.g. shard `"0,2/4"`),
-//! so its output is a valid *input* to a later merge — the remaining
-//! shard directories can finish the job.
+//! its full-grid *position* (from its manifest), the merged grid is the
+//! points sorted by position, and records follow in `(position, seed
+//! index)` key order. When all `k` shards are present that order **is**
+//! the unsharded run's, so the merged directory is byte-identical to what
+//! `--shard 0/1` would have written — `trials.jsonl`, `trials.csv`, and
+//! the compacted `trials.db` journal alike. A partial union keeps
+//! per-point positions in its manifest and records which slices it
+//! contains (e.g. shard `"0,2/4"`), so its output is a valid *input* to a
+//! later merge — the remaining shard directories can finish the job.
 //!
-//! The merged `summary.csv` is recomputed from the unioned records
+//! The merged store is written like a run's, through
+//! [`store::RunWriter`]: marked incomplete until its manifest lands. Its
+//! `summary.csv` is recomputed from the unioned records
 //! ([`RunSummary::from_records`]); `manifest.json` carries the union
 //! shard label and the max worker count (informational).
 
 use crate::agg::RunSummary;
-use crate::fleet;
+use crate::db::AofDb;
 use crate::scenario::{LabError, TrialRecord};
-use crate::store::{self, RunManifest};
+use crate::store::{self, RunManifest, RunWriter};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -76,21 +77,8 @@ fn parse_shard_label(label: &str) -> Result<(Vec<u64>, u64), LabError> {
     Ok((indices, k))
 }
 
-/// The full-grid position of every grid entry: v2 manifests store them;
-/// for older ones, reconstruct from the shard arithmetic. A raw shard
-/// `i/k` holds positions `i, i+k, i+2k, …` in order; a pre-v2 partial
-/// merge dealt its grid round-robin over the ascending slice indices
-/// (block `b` of slice `r` at grid index `b·s + r`), which inverts to
-/// `indices[j mod s] + (j div s)·k`.
-fn grid_positions(manifest: &RunManifest, indices: &[u64], k: u64) -> Vec<u64> {
-    if manifest.positions.len() == manifest.grid.len() {
-        return manifest.positions.clone();
-    }
-    let s = indices.len();
-    (0..manifest.grid.len())
-        .map(|j| indices[j % s] + (j / s) as u64 * k)
-        .collect()
-}
+/// Trial records keyed by `(full-grid position, seed index)`.
+type KeyedTrials = Vec<((u64, u64), TrialRecord)>;
 
 fn resume_hint(dir: &Path) -> String {
     format!(
@@ -99,10 +87,13 @@ fn resume_hint(dir: &Path) -> String {
     )
 }
 
-/// Loads one input directory, rejecting interrupted or torn stores: a
-/// manifest still marked incomplete, or a `trials.jsonl` whose final
-/// record was cut mid-line.
-fn load_shard(dir: &Path) -> Result<(RunManifest, Vec<TrialRecord>), LabError> {
+/// Loads one input directory's manifest and its trials keyed by
+/// `(full-grid position, seed index)`, refusing a shard that is not
+/// whole: a manifest still marked incomplete, a torn journal, a rejected
+/// journal entry, or a `(grid point, seed index)` key the manifest
+/// promises but the journal lacks (named, so a silently short shard is
+/// loud).
+fn load_shard(dir: &Path) -> Result<(RunManifest, KeyedTrials), LabError> {
     let manifest = store::load_manifest(&dir.join("manifest.json"))?;
     if !manifest.complete {
         return Err(LabError::BadRecord(format!(
@@ -111,39 +102,32 @@ fn load_shard(dir: &Path) -> Result<(RunManifest, Vec<TrialRecord>), LabError> {
             resume_hint(dir)
         )));
     }
-    let (records, truncated) = store::load_jsonl_recover(&dir.join("trials.jsonl"))?;
-    if truncated {
+    let journal = store::read_trials(&AofDb::open_read(&dir.join("trials.db"))?, &manifest);
+    if journal.truncated {
         return Err(LabError::BadRecord(format!(
-            "{}: trials.jsonl is truncated mid-record — the shard lost data; {}",
+            "{}: trials.db is truncated mid-entry — the shard lost data; {}",
             dir.display(),
             resume_hint(dir)
         )));
     }
-    Ok((manifest, records))
-}
-
-/// Checks that a shard's records cover every `(grid point, seed index)`
-/// key its manifest promises — `seeds × |grid slice|` trials, each under
-/// its positionally-derived seed. Named missing keys make a silently
-/// short shard (a kill the manifest never witnessed, a hand-edited log)
-/// loud.
-fn check_shard_covers_its_keys(
-    dir: &Path,
-    manifest: &RunManifest,
-    records: &[TrialRecord],
-    positions: &[u64],
-) -> Result<(), LabError> {
-    let counts = manifest.effective_counts();
-    let mut seen: BTreeMap<&str, BTreeSet<u64>> = BTreeMap::new();
-    for r in records {
-        seen.entry(r.point.as_str()).or_default().insert(r.seed);
+    if let Some((key, why)) = journal.rejected.first() {
+        return Err(LabError::BadRecord(format!(
+            "{}: trials.db entry '{}' {why} ({} entries rejected) — not a whole shard of this \
+             sweep",
+            dir.display(),
+            String::from_utf8_lossy(key),
+            journal.rejected.len()
+        )));
     }
+    let present: BTreeSet<(usize, u64)> = journal
+        .trials
+        .iter()
+        .map(|t| (t.point, t.seed_index))
+        .collect();
     let mut missing: Vec<String> = Vec::new();
-    for ((label, &position), &count) in manifest.grid.iter().zip(positions).zip(&counts) {
-        let seeds = seen.get(label.as_str());
+    for (point, (label, &count)) in manifest.grid.iter().zip(&manifest.counts).enumerate() {
         for si in 0..count {
-            let seed = fleet::derive_seed(manifest.master_seed, position, si);
-            if !seeds.is_some_and(|s| s.contains(&seed)) {
+            if !present.contains(&(point, si)) {
                 missing.push(format!("('{label}', seed index {si})"));
             }
         }
@@ -159,17 +143,22 @@ fn check_shard_covers_its_keys(
             resume_hint(dir)
         )));
     }
-    let expected: u64 = counts.iter().sum();
-    if records.len() as u64 != expected {
-        return Err(LabError::BadRecord(format!(
-            "{}: shard {} holds {} records where its manifest promises {expected} — \
-             duplicated or foreign trials",
-            dir.display(),
-            manifest.shard,
-            records.len()
-        )));
-    }
-    Ok(())
+    let trials = journal
+        .trials
+        .iter()
+        .map(|t| {
+            let record = t.record().map_err(|e| {
+                LabError::BadRecord(format!(
+                    "{}: trial ('{}', seed index {}) does not parse: {e}",
+                    dir.display(),
+                    manifest.grid[t.point],
+                    t.seed_index
+                ))
+            })?;
+            Ok(((manifest.positions[t.point], t.seed_index), record))
+        })
+        .collect::<Result<_, LabError>>()?;
+    Ok((manifest, trials))
 }
 
 /// Checks that two shard manifests describe the same logical sweep.
@@ -224,12 +213,12 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
     }
 
     let mut manifests: Vec<RunManifest> = Vec::new();
-    let mut all_records: Vec<TrialRecord> = Vec::new();
+    let mut keyed: KeyedTrials = Vec::new();
     let mut slices: Vec<Slice> = Vec::new();
     let mut points: Vec<KeyedPoint> = Vec::new();
     let mut divisor: Option<u64> = None;
     for dir in dirs {
-        let (manifest, records) = load_shard(dir)?;
+        let (manifest, trials) = load_shard(dir)?;
         let (indices, k) = parse_shard_label(&manifest.shard)?;
         match divisor {
             None => divisor = Some(k),
@@ -244,8 +233,6 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         if let Some(first) = manifests.first() {
             check_compatible(first, &manifest, dir)?;
         }
-        let positions = grid_positions(&manifest, &indices, k);
-        check_shard_covers_its_keys(dir, &manifest, &records, &positions)?;
         for &index in &indices {
             if let Some(dup) = slices.iter().find(|s| s.index == index) {
                 return Err(LabError::BadArgs(format!(
@@ -259,8 +246,12 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
                 index,
             });
         }
-        let counts = manifest.effective_counts();
-        for ((label, &position), &count) in manifest.grid.iter().zip(&positions).zip(&counts) {
+        for ((label, &position), &count) in manifest
+            .grid
+            .iter()
+            .zip(&manifest.positions)
+            .zip(&manifest.counts)
+        {
             points.push(KeyedPoint {
                 position,
                 label: label.clone(),
@@ -269,7 +260,7 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
             });
         }
         manifests.push(manifest);
-        all_records.extend(records);
+        keyed.extend(trials);
     }
     let k = divisor.expect("at least two inputs loaded");
 
@@ -310,26 +301,11 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         format!("{}/{k}", indices.join(","))
     };
 
-    // Records follow their grid points: group the (point-ordered) input
-    // records by label, then emit in merged grid order. A complete merge
-    // thereby reproduces the unsharded run's record order byte for byte.
-    let mut by_label: BTreeMap<&str, Vec<&TrialRecord>> = BTreeMap::new();
-    for r in &all_records {
-        by_label.entry(r.point.as_str()).or_default().push(r);
-    }
-    for label in by_label.keys() {
-        if !seen.contains_key(*label) {
-            return Err(LabError::BadRecord(format!(
-                "trials.jsonl contains records for '{label}', which no shard's grid lists"
-            )));
-        }
-    }
-    let mut records: Vec<TrialRecord> = Vec::new();
-    for label in &grid {
-        if let Some(rs) = by_label.get(label.as_str()) {
-            records.extend(rs.iter().map(|&r| r.clone()));
-        }
-    }
+    // Records follow their keys: (full-grid position, seed index). A
+    // complete merge thereby reproduces the unsharded run's record order
+    // byte for byte.
+    keyed.sort_by_key(|(key, _)| *key);
+    let records: Vec<TrialRecord> = keyed.into_iter().map(|(_, r)| r).collect();
 
     let first = &manifests[0];
     let summary = RunSummary::from_records(
@@ -386,7 +362,7 @@ pub fn merge_dirs(dirs: &[PathBuf], out: Option<&Path>) -> Result<String, LabErr
         },
     );
     if let Some(dir) = out {
-        store::write_run(dir, &manifest, &records, &summary)?;
+        RunWriter::create(dir, &manifest)?.finish(&records, &summary)?;
         report.push_str(&format!(
             "results stored under {} (manifest.json, trials.db, trials.jsonl, trials.csv, \
              summary.csv)\n",
@@ -649,6 +625,33 @@ mod tests {
     }
 
     #[test]
+    fn merge_reads_only_manifests_and_journals() {
+        // Inputs stripped of every derived view still merge to the
+        // unsharded run's bytes: the views are outputs, never inputs.
+        let base = tmp("journal-only");
+        let full = base.join("full");
+        run_with((0, 1), &full);
+        let shard_dirs: Vec<PathBuf> = (0..2).map(|i| base.join(format!("s{i}"))).collect();
+        for (i, dir) in shard_dirs.iter().enumerate() {
+            run_with((i as u64, 2), dir);
+            for view in ["trials.jsonl", "trials.csv", "summary.csv"] {
+                std::fs::remove_file(dir.join(view)).unwrap();
+            }
+        }
+        let merged = base.join("merged");
+        let report = merge_dirs(&shard_dirs, Some(&merged)).unwrap();
+        assert!(report.contains("complete sweep"), "{report}");
+        for file in ["trials.db", "trials.jsonl", "trials.csv", "summary.csv"] {
+            assert_eq!(
+                std::fs::read(full.join(file)).unwrap(),
+                std::fs::read(merged.join(file)).unwrap(),
+                "{file}"
+            );
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
     fn truncated_or_incomplete_shards_are_rejected_with_a_diagnostic() {
         let base = tmp("torn");
         let s0 = base.join("s0");
@@ -656,28 +659,33 @@ mod tests {
         run_with((0, 2), &s0);
         run_with((1, 2), &s1);
 
-        // Truncate s1's trial log mid-record: merge must refuse, naming
-        // the shard.
-        let log = s1.join("trials.jsonl");
-        let text = read(&log);
-        std::fs::write(&log, &text[..text.len() - 9]).unwrap();
+        // Tear s1's journal mid-entry: merge must refuse, naming the
+        // shard.
+        let journal = s1.join("trials.db");
+        let bytes = std::fs::read(&journal).unwrap();
+        std::fs::write(&journal, &bytes[..bytes.len() - 9]).unwrap();
         let err = merge_dirs(&[s0.clone(), s1.clone()], None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("truncated"), "{msg}");
         assert!(msg.contains("s1"), "names the shard: {msg}");
         assert!(msg.contains("--resume"), "{msg}");
 
-        // Cleanly drop a whole record (valid JSONL, one trial short):
-        // the key-coverage check catches it and names the missing keys.
-        let keep: Vec<&str> = text.lines().collect();
-        std::fs::write(&log, format!("{}\n", keep[..keep.len() - 1].join("\n"))).unwrap();
+        // Cleanly drop a whole entry (a valid journal, one trial short):
+        // the compacted journal sorts its `t/` rows last, so the final
+        // entry is the last point's seed index 2. The key-coverage check
+        // catches it and names the missing key.
+        let (entries, _) = crate::db::scan_entries(&bytes);
+        let last = entries.last().unwrap();
+        assert!(last.key.starts_with(b"t/"));
+        std::fs::write(&journal, &bytes[..last.offset as usize]).unwrap();
         let err = merge_dirs(&[s0.clone(), s1.clone()], None).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("missing 1 trial(s)"), "{msg}");
         assert!(msg.contains("seed index 2"), "names the key: {msg}");
 
-        // Restore the log but mark the manifest incomplete: still refused.
-        std::fs::write(&log, &text).unwrap();
+        // Restore the journal but mark the manifest incomplete: still
+        // refused.
+        std::fs::write(&journal, &bytes).unwrap();
         assert!(merge_dirs(&[s0.clone(), s1.clone()], None).is_ok());
         let manifest_path = s1.join("manifest.json");
         let mut manifest = store::load_manifest(&manifest_path).unwrap();

@@ -14,12 +14,14 @@
 //! 2. **Per-point throughput** — from `point` spans: trials, messages,
 //!    rounds, messages/s and rounds/s;
 //! 3. **Histograms and counters** — the final snapshot of each, with
-//!    log-2 bucket bars for the histograms.
+//!    log-2 bucket bars for the histograms. A counter event carrying a
+//!    `trial` attribute is a per-trial value (e.g. `engine-rounds`), so
+//!    those are summed across trials and printed with the trial count.
 
 use crate::json::Value;
 use crate::scenario::LabError;
 use crate::table::Table;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -29,6 +31,14 @@ struct SpanAgg {
     count: u64,
     total_us: u64,
     max_us: u64,
+}
+
+/// A counter's final reading: the last sample of a run total, or the sum
+/// of per-trial values over the trials that reported one.
+#[derive(Debug, Clone, Default)]
+struct CounterAgg {
+    value: u64,
+    trials: BTreeSet<u64>,
 }
 
 /// One `point` span's throughput row.
@@ -73,7 +83,7 @@ pub fn report_file(path: &Path) -> Result<String, LabError> {
 
     let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
     let mut points: Vec<PointRow> = Vec::new();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut counters: BTreeMap<String, CounterAgg> = BTreeMap::new();
     let mut hists: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
     let mut sweep_total_us: u64 = 0;
     let mut events = 0usize;
@@ -124,9 +134,16 @@ pub fn report_file(path: &Path) -> Result<String, LabError> {
                 }
             }
             "counter" => {
-                // Counters are cumulative: the last sample wins.
                 if let Some(value) = v.get("value").and_then(Value::as_u64) {
-                    counters.insert(name.to_string(), value);
+                    let agg = counters.entry(name.to_string()).or_default();
+                    match attr_u64("trial") {
+                        Some(trial) => {
+                            agg.value += value;
+                            agg.trials.insert(trial);
+                        }
+                        // A run total is cumulative: the last sample wins.
+                        None => agg.value = value,
+                    }
                 }
             }
             "hist" => {
@@ -216,8 +233,17 @@ pub fn report_file(path: &Path) -> Result<String, LabError> {
     if !counters.is_empty() {
         let _ = writeln!(out);
         out.push_str("counters (final):\n");
-        for (name, value) in &counters {
-            let _ = writeln!(out, "  {name} = {value}");
+        for (name, agg) in &counters {
+            if agg.trials.is_empty() {
+                let _ = writeln!(out, "  {name} = {}", agg.value);
+            } else {
+                let _ = writeln!(
+                    out,
+                    "  {name} = {} (sum over {} trials)",
+                    agg.value,
+                    agg.trials.len()
+                );
+            }
         }
     }
     for (name, buckets) in &hists {
@@ -272,6 +298,27 @@ mod tests {
             report.contains("histogram trial_wall_us (2 samples"),
             "{report}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn per_trial_counters_are_summed_across_trials() {
+        let path = tmp("per-trial.jsonl");
+        let lines = [
+            r#"{"ev":"counter","name":"engine-rounds","ts_us":10,"value":700,"attrs":{"trial":0,"messages":5}}"#,
+            r#"{"ev":"counter","name":"trials_completed","ts_us":15,"value":1,"attrs":{}}"#,
+            r#"{"ev":"counter","name":"engine-rounds","ts_us":20,"value":300,"attrs":{"trial":1,"messages":5}}"#,
+            r#"{"ev":"counter","name":"trials_completed","ts_us":25,"value":2,"attrs":{}}"#,
+        ];
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let report = report_file(&path).unwrap();
+        // The run's rounds, not the last trial's 300.
+        assert!(
+            report.contains("engine-rounds = 1000 (sum over 2 trials)"),
+            "{report}"
+        );
+        // Run totals keep their last sample.
+        assert!(report.contains("trials_completed = 2\n"), "{report}");
         std::fs::remove_file(&path).ok();
     }
 

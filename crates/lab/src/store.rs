@@ -1,5 +1,5 @@
-//! The result store: run manifests, a keyed durable journal, JSONL trial
-//! logs, and CSV exports.
+//! The result store: run manifests, a keyed durable journal, and the
+//! JSONL/CSV views derived from it.
 //!
 //! Layout of one run directory:
 //!
@@ -15,19 +15,21 @@
 //!   summary.csv     — per-(point, metric) streaming statistics
 //! ```
 //!
-//! `trials.db` is the crash-safe source of truth while a run executes:
-//! every record is [`crate::db::Db::put`] under its [`TrialKey`] —
-//! `(scenario, space-hash, grid-position, seed-index)` — as soon as a
-//! worker produces it, so a killed sweep can be completed by `ale-lab run
-//! --resume` instead of restarted. The derived views (`trials.jsonl`,
-//! `trials.csv`, `summary.csv`) are written at [`RunWriter::finish`] via
-//! temp-file + rename, the journal is compacted to its sorted canonical
-//! form, and only then is the manifest rewritten with `complete: true` —
-//! so an interrupted run is always distinguishable from a finished one.
-//! Because record order is deterministic (see [`crate::engine`]), two
-//! runs with the same spec — or a killed-and-resumed run — produce
-//! byte-identical stores; the property the determinism and resume tests
-//! pin.
+//! `trials.db` is the canonical record of a run: every record is
+//! [`crate::db::Db::put`] under its [`TrialKey`] — `(scenario,
+//! space-hash, grid-position, seed-index)` — as soon as a worker produces
+//! it, so a killed sweep can be completed by `ale-lab run --resume`
+//! instead of restarted. Every program path that reads a run directory
+//! back (resume, merge, check, serve) reads the manifest and the journal
+//! — trials through [`read_trials`] — and nothing else. The derived views
+//! (`trials.jsonl`, `trials.csv`, `summary.csv`) are written for people
+//! and external tools at [`RunWriter::finish`] via temp-file + rename,
+//! the journal is compacted to its sorted canonical form, and only then
+//! is the manifest rewritten with `complete: true` — so an interrupted
+//! run is always distinguishable from a finished one. Because record
+//! order is deterministic (see [`crate::engine`]), two runs with the same
+//! spec — or a killed-and-resumed run — produce byte-identical stores;
+//! the property the determinism and resume tests pin.
 
 use crate::agg::RunSummary;
 use crate::db::{AofDb, Db as _};
@@ -38,10 +40,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::Path;
 
-/// Manifest schema version written by this tree. Version 2 added the
-/// durable-store fields: `positions`, `counts`, `config`, `space_hash`,
-/// `complete`, `git_describe` (and changed `git` to the [`git_stamp`]
-/// form).
+/// Manifest schema version written by this tree, and the only one it
+/// reads.
 pub const STORE_VERSION: u32 = 2;
 
 /// The raw invocation a run was launched with — enough to re-expand the
@@ -177,11 +177,10 @@ pub struct RunManifest {
     pub grid: Vec<String>,
     /// Full-grid position of each grid point, parallel to `grid` — the
     /// seed-stream discriminator and the position component of every
-    /// [`TrialKey`]. Empty in pre-v2 manifests (then position == index,
-    /// valid for unfiltered `i/k` shards).
+    /// [`TrialKey`].
     pub positions: Vec<u64>,
     /// Expected trial count per grid point, parallel to `grid` (points
-    /// may override the global `seeds`). Empty in pre-v2 manifests.
+    /// may override the global `seeds`).
     pub counts: Vec<u64>,
     /// [`git_stamp`] of the producing tree: exact short sha, `-dirty`
     /// when the work tree had uncommitted changes — the same stamp bench
@@ -202,28 +201,27 @@ pub struct RunManifest {
     /// The resolved parameter space, one `key=v1,v2,…` line per axis as
     /// reported by [`crate::params::ParamSpace::expand`] — the record of
     /// which sweep this run actually executed once `--quick`/`--param`
-    /// overrides were applied. Empty in pre-space manifests.
+    /// overrides were applied.
     pub space: Vec<String>,
     /// [`space_hash`] over (scenario, master seed, seeds, quick, space) —
-    /// the sweep identity every [`TrialKey`] embeds. 0 in pre-v2
-    /// manifests.
+    /// the sweep identity every [`TrialKey`] embeds.
     pub space_hash: u64,
-    /// The raw invocation (see [`RunConfig`]); `None` in pre-v2
-    /// manifests and in merged stores whose inputs disagreed.
+    /// The raw invocation (see [`RunConfig`]); `None` in merged stores
+    /// whose inputs disagreed.
     pub config: Option<RunConfig>,
     /// `false` from [`RunWriter::create`] until [`RunWriter::finish`]
     /// rewrites the manifest — the completion marker that makes an
-    /// interrupted run distinguishable from a finished one. Pre-v2
-    /// manifests (which had no marker) parse as `true`.
+    /// interrupted run distinguishable from a finished one.
     pub complete: bool,
     /// Manifest schema version.
     pub version: u32,
 }
 
 impl RunManifest {
-    /// Builds a (complete) manifest for the current tree. The
-    /// durable-store extras (`positions`, `counts`, `config`) start
-    /// empty/none; callers that have them set the fields directly.
+    /// Builds a (complete) manifest for the current tree: every grid
+    /// point at its own index with `seeds` trials, and no invocation
+    /// config. Sharded, filtered and merged runs set `positions`,
+    /// `counts` and `config` directly.
     #[allow(clippy::too_many_arguments)]
     pub fn for_run(
         scenario: &str,
@@ -241,9 +239,9 @@ impl RunManifest {
             master_seed,
             seeds,
             workers,
+            positions: (0..grid.len() as u64).collect(),
+            counts: vec![seeds; grid.len()],
             grid,
-            positions: Vec::new(),
-            counts: Vec::new(),
             git: git_stamp(),
             git_describe: git_describe(),
             quick,
@@ -256,41 +254,47 @@ impl RunManifest {
         }
     }
 
-    /// The full-grid position of each grid point: the stored `positions`
-    /// when present, else (pre-v2) the grid index — correct for
-    /// unfiltered whole runs, and the best available reconstruction for
-    /// old shards.
-    pub fn effective_positions(&self) -> Vec<u64> {
-        if self.positions.len() == self.grid.len() {
-            self.positions.clone()
-        } else {
-            (0..self.grid.len() as u64).collect()
-        }
+    /// The full-grid position of each grid point (`positions`).
+    pub fn effective_positions(&self) -> &[u64] {
+        &self.positions
     }
 
-    /// The expected trial count of each grid point: the stored `counts`
-    /// when present, else the global `seeds` (pre-v2 manifests could not
-    /// record per-point overrides).
-    pub fn effective_counts(&self) -> Vec<u64> {
-        if self.counts.len() == self.grid.len() {
-            self.counts.clone()
-        } else {
-            vec![self.seeds; self.grid.len()]
-        }
+    /// The expected trial count of each grid point (`counts`).
+    pub fn effective_counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Parses a manifest back from JSON.
     ///
     /// # Errors
     ///
-    /// [`LabError::BadRecord`] on missing/ill-typed fields.
+    /// [`LabError::BadRecord`] naming the field on a missing or
+    /// ill-typed field, `positions`/`counts` not parallel to `grid`, or a
+    /// `version` other than [`STORE_VERSION`].
     pub fn from_json(v: &Value) -> Result<RunManifest, LabError> {
         let need = |k: &str| -> Result<&Value, LabError> {
             v.get(k)
                 .ok_or_else(|| LabError::BadRecord(format!("manifest missing '{k}'")))
         };
-        let string_arr = |k: &str, items: &[Value]| -> Result<Vec<String>, LabError> {
-            items
+        let string = |k: &str| -> Result<String, LabError> {
+            need(k)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| LabError::BadRecord(format!("'{k}' not a string")))
+        };
+        let u64_field = |k: &str| -> Result<u64, LabError> {
+            need(k)?
+                .as_u64()
+                .ok_or_else(|| LabError::BadRecord(format!("'{k}' not a u64")))
+        };
+        let items = |k: &str| -> Result<&[Value], LabError> {
+            match need(k)? {
+                Value::Arr(items) => Ok(items),
+                _ => Err(LabError::BadRecord(format!("'{k}' is not an array"))),
+            }
+        };
+        let string_arr = |k: &str| -> Result<Vec<String>, LabError> {
+            items(k)?
                 .iter()
                 .map(|i| {
                     i.as_str()
@@ -299,79 +303,54 @@ impl RunManifest {
                 })
                 .collect()
         };
-        let u64_arr = |k: &str| -> Result<Vec<u64>, LabError> {
-            match v.get(k) {
-                Some(Value::Arr(items)) => items
-                    .iter()
-                    .map(|i| {
-                        i.as_u64()
-                            .ok_or_else(|| LabError::BadRecord(format!("non-u64 entry in '{k}'")))
-                    })
-                    .collect(),
-                // Absent in pre-v2 manifests.
-                None => Ok(Vec::new()),
-                Some(_) => Err(LabError::BadRecord(format!("'{k}' is not an array"))),
+        let grid = string_arr("grid")?;
+        let per_point = |k: &str| -> Result<Vec<u64>, LabError> {
+            let values = items(k)?
+                .iter()
+                .map(|i| {
+                    i.as_u64()
+                        .ok_or_else(|| LabError::BadRecord(format!("non-u64 entry in '{k}'")))
+                })
+                .collect::<Result<Vec<u64>, _>>()?;
+            if values.len() != grid.len() {
+                return Err(LabError::BadRecord(format!(
+                    "'{k}' has {} entries for {} grid points",
+                    values.len(),
+                    grid.len()
+                )));
             }
+            Ok(values)
         };
-        let grid = match need("grid")? {
-            Value::Arr(items) => string_arr("grid", items)?,
-            _ => return Err(LabError::BadRecord("'grid' is not an array".into())),
-        };
+        let version = u64_field("version")?;
+        if version != u64::from(STORE_VERSION) {
+            return Err(LabError::BadRecord(format!(
+                "'version' is {version}; this tree reads only store version {STORE_VERSION}"
+            )));
+        }
         Ok(RunManifest {
-            scenario: need("scenario")?
-                .as_str()
-                .ok_or_else(|| LabError::BadRecord("'scenario' not a string".into()))?
-                .to_string(),
-            master_seed: need("master_seed")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'master_seed' not a u64".into()))?,
-            seeds: need("seeds")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'seeds' not a u64".into()))?,
-            workers: need("workers")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'workers' not a u64".into()))?
-                as usize,
+            scenario: string("scenario")?,
+            master_seed: u64_field("master_seed")?,
+            seeds: u64_field("seeds")?,
+            workers: u64_field("workers")? as usize,
+            positions: per_point("positions")?,
+            counts: per_point("counts")?,
             grid,
-            positions: u64_arr("positions")?,
-            counts: u64_arr("counts")?,
-            git: need("git")?
-                .as_str()
-                .ok_or_else(|| LabError::BadRecord("'git' not a string".into()))?
-                .to_string(),
-            // Absent in pre-v2 manifests (whose 'git' WAS the describe).
-            git_describe: v
-                .get("git_describe")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
+            git: string("git")?,
+            git_describe: string("git_describe")?,
             quick: need("quick")?
                 .as_bool()
                 .ok_or_else(|| LabError::BadRecord("'quick' not a bool".into()))?,
-            // Absent in pre-shard manifests: default to the whole grid.
-            shard: v
-                .get("shard")
-                .and_then(Value::as_str)
-                .unwrap_or("0/1")
-                .to_string(),
-            // Absent in pre-space manifests: default to unrecorded.
-            space: match v.get("space") {
-                Some(Value::Arr(items)) => string_arr("space", items)?,
-                None => Vec::new(),
-                Some(_) => return Err(LabError::BadRecord("'space' is not an array".into())),
+            shard: string("shard")?,
+            space: string_arr("space")?,
+            space_hash: u64_field("space_hash")?,
+            config: match need("config")? {
+                Value::Null => None,
+                c => Some(RunConfig::from_json(c)?),
             },
-            space_hash: v.get("space_hash").and_then(Value::as_u64).unwrap_or(0),
-            config: match v.get("config") {
-                Some(Value::Null) | None => None,
-                Some(c) => Some(RunConfig::from_json(c)?),
-            },
-            // Pre-v2 manifests had no completion marker; they were only
-            // ever produced by runs that reached the end.
-            complete: v.get("complete").and_then(Value::as_bool).unwrap_or(true),
-            version: need("version")?
-                .as_u64()
-                .ok_or_else(|| LabError::BadRecord("'version' not a u64".into()))?
-                as u32,
+            complete: need("complete")?
+                .as_bool()
+                .ok_or_else(|| LabError::BadRecord("'complete' not a bool".into()))?,
+            version: STORE_VERSION,
         })
     }
 }
@@ -592,6 +571,16 @@ fn jsonl_bytes(records: &[TrialRecord]) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// Each grid label's full-grid position.
+fn positions_by_label(manifest: &RunManifest) -> HashMap<&str, u64> {
+    manifest
+        .grid
+        .iter()
+        .map(String::as_str)
+        .zip(manifest.positions.iter().copied())
+        .collect()
+}
+
 /// Assigns every record its [`TrialKey`] from the manifest's grid:
 /// position from `positions` (parallel to `grid`), seed index by
 /// occurrence order within the point.
@@ -599,13 +588,7 @@ fn keyed_records<'a>(
     manifest: &RunManifest,
     records: &'a [TrialRecord],
 ) -> Result<Vec<(TrialKey, &'a TrialRecord)>, LabError> {
-    let positions = manifest.effective_positions();
-    let pos_of: HashMap<&str, u64> = manifest
-        .grid
-        .iter()
-        .zip(&positions)
-        .map(|(label, &pos)| (label.as_str(), pos))
-        .collect();
+    let pos_of = positions_by_label(manifest);
     let mut next_seed: HashMap<&str, u64> = HashMap::new();
     records
         .iter()
@@ -629,69 +612,9 @@ fn keyed_records<'a>(
         .collect()
 }
 
-/// Upserts every trial and summary row into `db` and compacts it to the
-/// canonical sorted form. Idempotent: values are pure functions of the
-/// records, so re-putting over a journal that already holds them (the
-/// [`RunWriter::finish`] path) changes nothing but the layout.
-fn populate_db(
-    db: &mut AofDb,
-    manifest: &RunManifest,
-    records: &[TrialRecord],
-    summary: &RunSummary,
-) -> Result<(), LabError> {
-    for (key, r) in keyed_records(manifest, records)? {
-        db.put(&key.encode(), r.to_json().render().as_bytes())?;
-    }
-    let positions = manifest.effective_positions();
-    let pos_of: HashMap<&str, u64> = manifest
-        .grid
-        .iter()
-        .zip(&positions)
-        .map(|(label, &pos)| (label.as_str(), pos))
-        .collect();
-    for (label, metric, row) in summary.summary_rows() {
-        let &position = pos_of.get(label.as_str()).ok_or_else(|| {
-            LabError::BadRecord(format!(
-                "summary row for '{label}', which the manifest grid does not list"
-            ))
-        })?;
-        db.put(
-            &summary_key(&manifest.scenario, manifest.space_hash, position, &metric),
-            row.render().as_bytes(),
-        )?;
-    }
-    db.compact()
-}
-
-/// Writes a complete run directory (creating it if needed): the derived
-/// views atomically, the keyed journal in compacted form, and the
-/// manifest last.
-///
-/// # Errors
-///
-/// Filesystem failures surface as [`LabError::Io`].
-pub fn write_run(
-    dir: &Path,
-    manifest: &RunManifest,
-    records: &[TrialRecord],
-    summary: &RunSummary,
-) -> Result<(), LabError> {
-    let _span = ale_telemetry::Span::begin("store-write").attr("records", records.len());
-    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    write_atomic(&dir.join("trials.jsonl"), &jsonl_bytes(records))?;
-    write_atomic(&dir.join("trials.csv"), records_csv(records).as_bytes())?;
-    write_atomic(&dir.join("summary.csv"), summary.summary_csv().as_bytes())?;
-    let mut db = AofDb::create(&dir.join("trials.db"))?;
-    populate_db(&mut db, manifest, records, summary)?;
-    write_atomic(
-        &dir.join("manifest.json"),
-        (manifest.to_json().render_pretty() + "\n").as_bytes(),
-    )
-}
-
 /// What [`RunWriter::resume`] hands back: the reopened writer plus the
-/// `(key, value)` trial entries that survived the crash in the journal.
-pub type ResumedWriter = (RunWriter, Vec<(Vec<u8>, Vec<u8>)>);
+/// trials that survived the crash in the journal.
+pub type ResumedWriter = (RunWriter, JournalTrials);
 
 /// Streams one run to disk as it executes, crash-safely:
 /// [`RunWriter::create`] writes the manifest with `complete: false` and
@@ -702,8 +625,10 @@ pub type ResumedWriter = (RunWriter, Vec<(Vec<u8>, Vec<u8>)>);
 /// rename, compacts the journal, and only then rewrites the manifest
 /// with `complete: true`. A kill at any point leaves either a resumable
 /// directory (`complete: false`, journal prefix intact) or a finished
-/// one — never a silently torn store. The finished directory is
-/// byte-identical to a post-hoc [`write_run`] of the same records.
+/// one — never a silently torn store. `finish` journals every record it
+/// is given, so the finished directory is the same bytes whether the
+/// records were [`RunWriter::put`] as they ran (the engine) or not at
+/// all (`merge`, which writes through `create` + `finish`).
 pub struct RunWriter {
     dir: std::path::PathBuf,
     manifest: RunManifest,
@@ -740,8 +665,8 @@ impl RunWriter {
 
     /// Reopens an interrupted run directory for completion: re-marks the
     /// manifest incomplete, recovers the journal's valid prefix (a torn
-    /// tail from the crash is dropped), and returns the surviving
-    /// `(key, value)` trial entries alongside the writer.
+    /// tail from the crash is dropped), and returns the surviving trials
+    /// ([`read_trials`]) alongside the writer.
     ///
     /// # Errors
     ///
@@ -749,14 +674,14 @@ impl RunWriter {
     pub fn resume(dir: &Path, manifest: &RunManifest) -> Result<ResumedWriter, LabError> {
         let manifest = Self::marked_incomplete(dir, manifest)?;
         let db = AofDb::open(&dir.join("trials.db"))?;
-        let entries = db.iter_prefix(b"t/");
+        let journal = read_trials(&db, &manifest);
         Ok((
             RunWriter {
                 dir: dir.to_path_buf(),
                 manifest,
                 db: std::sync::Mutex::new(db),
             },
-            entries,
+            journal,
         ))
     }
 
@@ -775,11 +700,13 @@ impl RunWriter {
         db.put(&key.encode(), record.to_json().render().as_bytes())
     }
 
-    /// Derives the CSV/JSONL views (temp-file + rename), stores the
-    /// summary rows, compacts the journal, and rewrites the manifest
-    /// with `complete: true` — in that order, so the completion marker
-    /// is the last thing to land. `records` must be the full record set
-    /// in task order.
+    /// Derives the CSV/JSONL views (temp-file + rename), journals every
+    /// record and summary row (re-putting a record already journaled
+    /// changes nothing: values are pure functions of the records),
+    /// compacts the journal to its sorted canonical form, and rewrites the
+    /// manifest with `complete: true` — in that order, so the completion
+    /// marker is the last thing to land. `records` must be the full record
+    /// set in task order.
     ///
     /// # Errors
     ///
@@ -797,7 +724,22 @@ impl RunWriter {
         write_atomic(&dir.join("trials.jsonl"), &jsonl_bytes(records))?;
         write_atomic(&dir.join("trials.csv"), records_csv(records).as_bytes())?;
         write_atomic(&dir.join("summary.csv"), summary.summary_csv().as_bytes())?;
-        populate_db(&mut db, &manifest, records, summary)?;
+        for (key, r) in keyed_records(&manifest, records)? {
+            db.put(&key.encode(), r.to_json().render().as_bytes())?;
+        }
+        let pos_of = positions_by_label(&manifest);
+        for (label, metric, row) in summary.summary_rows() {
+            let &position = pos_of.get(label.as_str()).ok_or_else(|| {
+                LabError::BadRecord(format!(
+                    "summary row for '{label}', which the manifest grid does not list"
+                ))
+            })?;
+            db.put(
+                &summary_key(&manifest.scenario, manifest.space_hash, position, &metric),
+                row.render().as_bytes(),
+            )?;
+        }
+        db.compact()?;
         manifest.complete = true;
         write_atomic(
             &dir.join("manifest.json"),
@@ -806,28 +748,8 @@ impl RunWriter {
     }
 }
 
-/// Appends records to an existing `trials.jsonl` (ad-hoc log surgery;
-/// the engine itself persists through [`RunWriter`]).
-///
-/// # Errors
-///
-/// Filesystem failures surface as [`LabError::Io`].
-pub fn append_jsonl(path: &Path, records: &[TrialRecord]) -> Result<(), LabError> {
-    use std::io::Write as _;
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| io_err(path, e))?;
-    for r in records {
-        writeln!(file, "{}", r.to_json().render()).map_err(|e| io_err(path, e))?;
-    }
-    Ok(())
-}
-
 /// Loads every record from a JSONL trial log, erroring loudly on any
-/// malformed line — including a mid-line-truncated final record. Use
-/// [`load_jsonl_recover`] when a truncated tail should be survivable.
+/// malformed line — including a mid-line-truncated final record.
 ///
 /// # Errors
 ///
@@ -848,48 +770,6 @@ pub fn load_jsonl(path: &Path) -> Result<Vec<TrialRecord>, LabError> {
     Ok(records)
 }
 
-/// Loads a JSONL trial log, tolerating a truncated tail: returns the
-/// valid record prefix plus a flag reporting whether the file ended
-/// mid-record (an unparseable final line, or a final line the writer
-/// never terminated with `\n`). A malformed line *followed by further
-/// records* is still a hard error — that is corruption, not a crash
-/// tail. This is the `--resume`/`merge` read path; plain [`load_jsonl`]
-/// keeps erroring loudly.
-///
-/// # Errors
-///
-/// IO failures and malformed non-final lines.
-pub fn load_jsonl_recover(path: &Path) -> Result<(Vec<TrialRecord>, bool), LabError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let lines: Vec<&str> = text.lines().collect();
-    let mut records = Vec::new();
-    for (lineno, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse(line)
-            .map_err(LabError::BadRecord)
-            .and_then(|v| TrialRecord::from_json(&v));
-        match parsed {
-            Ok(record) => records.push(record),
-            Err(e) => {
-                let is_tail = lines[lineno + 1..].iter().all(|l| l.trim().is_empty());
-                if is_tail {
-                    return Ok((records, true));
-                }
-                return Err(LabError::BadRecord(format!(
-                    "line {}: {e} (followed by further records — corruption, not a torn tail)",
-                    lineno + 1
-                )));
-            }
-        }
-    }
-    // Every line parsed; a missing final newline still means the writer
-    // was cut (exactly at the record boundary), so flag it.
-    let truncated = !text.is_empty() && !text.ends_with('\n');
-    Ok((records, truncated))
-}
-
 /// Loads a run manifest.
 ///
 /// # Errors
@@ -899,6 +779,101 @@ pub fn load_manifest(path: &Path) -> Result<RunManifest, LabError> {
     let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
     let value = parse(&text).map_err(LabError::BadRecord)?;
     RunManifest::from_json(&value)
+}
+
+/// One journaled trial that [`read_trials`] accepted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredTrial {
+    /// Index of the trial's grid point in the manifest's `grid`.
+    pub point: usize,
+    /// The trial's seed index within its point.
+    pub seed_index: u64,
+    /// The journaled payload: one rendered [`TrialRecord`].
+    pub payload: String,
+}
+
+impl StoredTrial {
+    /// Parses the payload into its record.
+    ///
+    /// # Errors
+    ///
+    /// [`LabError::BadRecord`] when the payload is not a trial record.
+    pub fn record(&self) -> Result<TrialRecord, LabError> {
+        TrialRecord::from_json(&parse(&self.payload).map_err(LabError::BadRecord)?)
+    }
+}
+
+/// The `t/` entries of a run's journal, checked against its manifest by
+/// [`read_trials`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct JournalTrials {
+    /// The valid trials in key order: `(position, seed index)` ascending.
+    pub trials: Vec<StoredTrial>,
+    /// Every other `t/` entry: its raw key and why it was rejected.
+    pub rejected: Vec<(Vec<u8>, String)>,
+    /// Whether the journal ended in a torn entry ([`AofDb::truncated`]).
+    pub truncated: bool,
+}
+
+/// Reads the trials of a run's journal and checks each `t/` entry
+/// against `manifest`: its key must decode and name the manifest's
+/// scenario and space hash, a grid position the manifest lists, and a
+/// seed index below that point's count; its payload's `seed` must be
+/// [`crate::fleet::derive_seed`] of the key and its `point` the grid
+/// label at that position. This is the only path by which a run
+/// directory's trials are read back (resume, merge, and the
+/// missing-trial count of `check` and `serve`). The payload's two fields
+/// are found by a scan, not a parse, because the count runs on every
+/// `serve` request; [`StoredTrial::record`] parses.
+pub fn read_trials(db: &AofDb, manifest: &RunManifest) -> JournalTrials {
+    let point_at: HashMap<u64, usize> = manifest
+        .positions
+        .iter()
+        .enumerate()
+        .map(|(i, &pos)| (pos, i))
+        .collect();
+    let labels: Vec<String> = manifest
+        .grid
+        .iter()
+        .map(|label| Value::Str(label.clone()).render())
+        .collect();
+    let check = |key: &[u8], value: Vec<u8>| -> Result<StoredTrial, String> {
+        let k = TrialKey::decode(key).map_err(|_| "is not a trial key".to_string())?;
+        if k.scenario != manifest.scenario || k.space_hash != manifest.space_hash {
+            return Err("belongs to a different sweep".into());
+        }
+        let &point = point_at
+            .get(&k.position)
+            .ok_or("names a grid position the manifest does not list")?;
+        if k.seed_index >= manifest.counts[point] {
+            return Err("has a seed index beyond the point's trial count".into());
+        }
+        let payload = String::from_utf8(value).map_err(|_| "holds a non-UTF-8 payload")?;
+        let seed = crate::fleet::derive_seed(manifest.master_seed, k.position, k.seed_index);
+        let field = |name: &str| crate::json::raw_field(&payload, name);
+        if field("seed").and_then(|s| s.parse::<u64>().ok()) != Some(seed)
+            || field("point") != Some(labels[point].as_str())
+        {
+            return Err("payload disagrees with its key (corruption)".into());
+        }
+        Ok(StoredTrial {
+            point,
+            seed_index: k.seed_index,
+            payload,
+        })
+    };
+    let mut journal = JournalTrials {
+        trials: Vec::new(),
+        rejected: Vec::new(),
+        truncated: db.truncated(),
+    };
+    for (key, value) in db.iter_prefix(b"t/") {
+        match check(&key, value) {
+            Ok(trial) => journal.trials.push(trial),
+            Err(why) => journal.rejected.push((key, why)),
+        }
+    }
+    journal
 }
 
 /// One summary row served from the durable store (the `summaries` read
@@ -916,35 +891,34 @@ pub struct StoredSummaryRow {
 }
 
 /// Serves a run directory's summary rows from the keyed store
-/// (`trials.db` `s/` prefix). Returns `Ok(None)` when the directory has
-/// no journal (pre-v2 store) — callers fall back to `summary.csv` — and
-/// errors loudly on an incomplete or torn store instead of serving
-/// partial statistics.
+/// (`trials.db` `s/` prefix), erroring loudly on an incomplete or torn
+/// store instead of serving partial statistics.
 ///
 /// # Errors
 ///
-/// [`LabError::BadRecord`] on an incomplete run (manifest `complete:
-/// false`), a truncated journal, or malformed rows; IO failures as
+/// [`LabError::BadRecord`] naming the directory on an incomplete run
+/// (manifest `complete: false`), a missing or truncated journal, a
+/// journal without summary rows, or malformed rows; IO failures as
 /// [`LabError::Io`].
-pub fn load_summary_rows(dir: &Path) -> Result<Option<Vec<StoredSummaryRow>>, LabError> {
-    let manifest_path = dir.join("manifest.json");
-    if manifest_path.exists() {
-        let manifest = load_manifest(&manifest_path)?;
-        if !manifest.complete {
-            let expected: u64 = manifest.effective_counts().iter().sum();
-            let missing = missing_trials(dir, &manifest).unwrap_or(expected);
-            return Err(LabError::BadRecord(format!(
-                "{}: run is incomplete (crashed or still running; {missing} of {expected} \
-                 (point, seed-index) trials missing) — finish it with \
-                 `ale-lab run --resume {}` first",
-                dir.display(),
-                dir.display()
-            )));
-        }
+pub fn load_summary_rows(dir: &Path) -> Result<Vec<StoredSummaryRow>, LabError> {
+    let manifest = load_manifest(&dir.join("manifest.json"))?;
+    if !manifest.complete {
+        let expected: u64 = manifest.counts.iter().sum();
+        let missing = missing_trials(dir, &manifest).unwrap_or(expected);
+        return Err(LabError::BadRecord(format!(
+            "{}: run is incomplete (crashed or still running; {missing} of {expected} \
+             (point, seed-index) trials missing) — finish it with \
+             `ale-lab run --resume {}` first",
+            dir.display(),
+            dir.display()
+        )));
     }
     let db_path = dir.join("trials.db");
     if !db_path.exists() {
-        return Ok(None);
+        return Err(LabError::BadRecord(format!(
+            "{}: no trials.db journal to read summary rows from",
+            dir.display()
+        )));
     }
     let db = AofDb::open_read(&db_path)?;
     if db.truncated() {
@@ -955,84 +929,63 @@ pub fn load_summary_rows(dir: &Path) -> Result<Option<Vec<StoredSummaryRow>>, La
     }
     let mut rows = Vec::new();
     for (key, value) in db.iter_prefix(b"s/") {
-        let text = String::from_utf8(value).map_err(|_| {
+        let bad = |what: &str| {
             LabError::BadRecord(format!(
-                "{}: summary row '{}' is not UTF-8",
+                "{}: summary row '{}' {what}",
                 dir.display(),
                 String::from_utf8_lossy(&key)
             ))
-        })?;
-        let v = parse(&text).map_err(LabError::BadRecord)?;
-        let field = |name: &str| {
-            v.get(name).ok_or_else(|| {
-                LabError::BadRecord(format!(
-                    "{}: summary row '{}' lacks '{name}'",
-                    dir.display(),
-                    String::from_utf8_lossy(&key)
-                ))
-            })
         };
+        let text = std::str::from_utf8(&value).map_err(|_| bad("is not UTF-8"))?;
+        let v = parse(text).map_err(|e| bad(&format!("does not parse: {e}")))?;
+        let field = |name: &str| v.get(name).ok_or_else(|| bad(&format!("lacks '{name}'")));
         rows.push(StoredSummaryRow {
             point: field("point")?
                 .as_str()
-                .ok_or_else(|| LabError::BadRecord("summary row 'point' not a string".into()))?
+                .ok_or_else(|| bad("has a non-string 'point'"))?
                 .to_string(),
             metric: field("metric")?
                 .as_str()
-                .ok_or_else(|| LabError::BadRecord("summary row 'metric' not a string".into()))?
+                .ok_or_else(|| bad("has a non-string 'metric'"))?
                 .to_string(),
             mean: field("mean")?
                 .as_f64()
-                .ok_or_else(|| LabError::BadRecord("summary row 'mean' not a number".into()))?,
+                .ok_or_else(|| bad("has a non-numeric 'mean'"))?,
             count: field("count")?
                 .as_u64()
-                .ok_or_else(|| LabError::BadRecord("summary row 'count' not a u64".into()))?,
+                .ok_or_else(|| bad("has a non-u64 'count'"))?,
         });
     }
     if rows.is_empty() {
-        return Ok(None);
+        return Err(LabError::BadRecord(format!(
+            "{}: trials.db holds no summary rows",
+            dir.display()
+        )));
     }
-    Ok(Some(rows))
+    Ok(rows)
 }
 
 /// Counts the `(point, seed-index)` trials a run directory still lacks:
-/// the manifest's expected totals (Σ per-point counts) minus the
-/// distinct valid trial keys already journaled in `trials.db` for this
-/// sweep. A missing or empty journal leaves everything missing. This is
-/// the number `check`'s `--resume` hint and the serve/tail routes both
-/// report, so the two views of "what remains" always agree.
+/// the manifest's expected total (Σ per-point counts) minus the valid
+/// trials [`read_trials`] finds in `trials.db`. Entries it rejects are
+/// skipped, never an error, and a missing journal leaves everything
+/// missing. This is the number `check`'s `--resume` hint and the
+/// serve/tail routes both report, so the two views of "what remains"
+/// always agree.
 ///
 /// # Errors
 ///
 /// Filesystem failures reading the journal as [`LabError::Io`].
 pub fn missing_trials(dir: &Path, manifest: &RunManifest) -> Result<u64, LabError> {
-    let positions = manifest.effective_positions();
-    let counts = manifest.effective_counts();
-    let expected: u64 = counts.iter().sum();
+    let expected: u64 = manifest.counts.iter().sum();
     let db_path = dir.join("trials.db");
     if !db_path.exists() {
         return Ok(expected);
     }
-    let db = AofDb::open_read(&db_path)?;
-    let mut present = 0u64;
-    // iter_prefix walks the recovered index, so duplicates are already
-    // collapsed and a torn tail is already excluded.
-    for (key, _) in db.iter_prefix(b"t/") {
-        let Ok(k) = TrialKey::decode(&key) else {
-            continue;
-        };
-        if k.scenario != manifest.scenario || k.space_hash != manifest.space_hash {
-            continue;
-        }
-        let in_range = positions
-            .iter()
-            .position(|&p| p == k.position)
-            .is_some_and(|i| k.seed_index < counts[i]);
-        if in_range {
-            present += 1;
-        }
-    }
-    Ok(expected.saturating_sub(present))
+    let present = read_trials(&AofDb::open_read(&db_path)?, manifest)
+        .trials
+        .len();
+    Ok(expected.saturating_sub(present as u64))
 }
 
 /// Renders records as flat CSV; extra metrics become columns (the union
@@ -1101,14 +1054,16 @@ mod tests {
     use crate::scenario::GridPoint;
     use ale_graph::Topology;
 
+    /// One trial of each of two points, seeded as a master-seed-1 run
+    /// seeds them, so the journal checks accept them.
     fn sample_records() -> Vec<TrialRecord> {
         let p0 = GridPoint::new("cell-a").on(Topology::Cycle { n: 8 });
         let p1 = GridPoint::new("cell-b").on(Topology::Complete { n: 4 });
-        let mut a = TrialRecord::new("demo", &p0, 11);
+        let mut a = TrialRecord::new("demo", &p0, crate::fleet::derive_seed(1, 0, 0));
         a.messages = 40;
         a.ok = true;
         a.push_extra("territory", 12.5);
-        let mut b = TrialRecord::new("demo", &p1, 12);
+        let mut b = TrialRecord::new("demo", &p1, crate::fleet::derive_seed(1, 1, 0));
         b.messages = 7;
         b.push_extra("ratio", 0.5);
         vec![a, b]
@@ -1125,22 +1080,32 @@ mod tests {
         summary
     }
 
-    #[test]
-    fn jsonl_roundtrip_via_disk() {
-        let dir = std::env::temp_dir().join(format!("ale-lab-store-{}", std::process::id()));
-        let records = sample_records();
-        let summary = sample_summary(&records);
-        let manifest = RunManifest::for_run(
+    fn sample_manifest(shard: &str, space: Vec<String>) -> RunManifest {
+        RunManifest::for_run(
             "demo",
             1,
             1,
             1,
             vec!["cell-a".into(), "cell-b".into()],
             false,
-            "2/4",
-            vec!["topo=cycle(n=8),complete(n=4)".into()],
-        );
-        write_run(&dir, &manifest, &records, &summary).unwrap();
+            shard,
+            space,
+        )
+    }
+
+    /// Writes a complete store the way `merge` does: no puts before
+    /// `finish`.
+    fn write_store(dir: &Path, manifest: &RunManifest, records: &[TrialRecord]) {
+        let writer = RunWriter::create(dir, manifest).unwrap();
+        writer.finish(records, &sample_summary(records)).unwrap();
+    }
+
+    #[test]
+    fn jsonl_roundtrip_via_disk() {
+        let dir = std::env::temp_dir().join(format!("ale-lab-store-{}", std::process::id()));
+        let records = sample_records();
+        let manifest = sample_manifest("2/4", vec!["topo=cycle(n=8),complete(n=4)".into()]);
+        write_store(&dir, &manifest, &records);
 
         let loaded = load_jsonl(&dir.join("trials.jsonl")).unwrap();
         assert_eq!(loaded, records);
@@ -1166,23 +1131,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writer_matches_write_run_byte_for_byte() {
+    fn finish_writes_the_same_bytes_with_or_without_puts() {
         let base = std::env::temp_dir().join(format!("ale-lab-stream-{}", std::process::id()));
         std::fs::remove_dir_all(&base).ok();
         let records = sample_records();
         let summary = sample_summary(&records);
-        let manifest = RunManifest::for_run(
-            "demo",
-            1,
-            1,
-            1,
-            vec!["cell-a".into(), "cell-b".into()],
-            false,
-            "0/1",
-            Vec::new(),
-        );
+        let manifest = sample_manifest("0/1", Vec::new());
         let batch_dir = base.join("batch");
-        write_run(&batch_dir, &manifest, &records, &summary).unwrap();
+        write_store(&batch_dir, &manifest, &records);
         let stream_dir = base.join("stream");
         let writer = RunWriter::create(&stream_dir, &manifest).unwrap();
         // Mid-run, the manifest says incomplete.
@@ -1204,6 +1160,98 @@ mod tests {
             assert_eq!(batch, stream, "{file} diverged");
         }
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn read_trials_checks_every_entry_against_the_manifest() {
+        let dir = std::env::temp_dir().join(format!("ale-lab-readtrials-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let records = sample_records();
+        let mut manifest = sample_manifest("0/1", Vec::new());
+        write_store(&dir, &manifest, &records);
+        let path = dir.join("trials.db");
+        let journal = read_trials(&AofDb::open_read(&path).unwrap(), &manifest);
+        assert!(journal.rejected.is_empty(), "{:?}", journal.rejected);
+        assert!(!journal.truncated);
+        let got: Vec<(usize, u64, TrialRecord)> = journal
+            .trials
+            .iter()
+            .map(|t| (t.point, t.seed_index, t.record().unwrap()))
+            .collect();
+        assert_eq!(
+            got,
+            [(0, 0, records[0].clone()), (1, 0, records[1].clone())]
+        );
+
+        // Append one entry per failed check, each under a key that sorts
+        // between or after the good ones.
+        let key = |space_hash: u64, position: u64, seed_index: u64| {
+            TrialKey {
+                scenario: "demo".into(),
+                space_hash,
+                position,
+                seed_index,
+            }
+            .encode()
+        };
+        let hash = manifest.space_hash;
+        let payload = records[0].to_json().render();
+        let mut wrong_seed = records[0].clone();
+        wrong_seed.seed ^= 1;
+        let mut wrong_point = records[0].clone();
+        wrong_point.point = "cell-b".into();
+        let bad: Vec<(Vec<u8>, String, &str)> = vec![
+            (b"t/not-a-key".to_vec(), payload.clone(), "not a trial key"),
+            (key(hash ^ 1, 0, 0), payload.clone(), "different sweep"),
+            (key(hash, 7, 0), payload.clone(), "does not list"),
+            (
+                key(hash, 0, 1),
+                payload.clone(),
+                "beyond the point's trial count",
+            ),
+            (key(hash, 1, 0), "{".into(), "disagrees with its key"),
+        ];
+        let mut db = AofDb::open(&path).unwrap();
+        for (k, v, _) in &bad {
+            db.put(k, v.as_bytes()).unwrap();
+        }
+        drop(db);
+        let journal = read_trials(&AofDb::open_read(&path).unwrap(), &manifest);
+        // The unreadable payload replaced cell-b's good record.
+        assert_eq!(journal.trials.len(), 1);
+        assert_eq!(journal.rejected.len(), bad.len());
+        for (k, _, why) in &bad {
+            let (_, reason) = journal.rejected.iter().find(|(rk, _)| rk == k).unwrap();
+            assert!(reason.contains(why), "{reason} should say {why}");
+        }
+        // Payloads must agree with their keys: seed and point label.
+        let mut db = AofDb::open(&path).unwrap();
+        for r in [&wrong_seed, &wrong_point] {
+            db.put(&key(hash, 0, 0), r.to_json().render().as_bytes())
+                .unwrap();
+            let journal = read_trials(&db, &manifest);
+            let (_, reason) = journal
+                .rejected
+                .iter()
+                .find(|(k, _)| k == &key(hash, 0, 0))
+                .unwrap();
+            assert!(reason.contains("disagrees with its key"), "{reason}");
+        }
+        // A raised count admits seed index 1; its payload seed is still
+        // checked.
+        manifest.counts = vec![2, 1];
+        db.put(&key(hash, 0, 1), payload.as_bytes()).unwrap();
+        let journal = read_trials(&db, &manifest);
+        assert!(journal.trials.iter().all(|t| t.seed_index == 0));
+        drop(db);
+
+        // A torn tail is reported, and the valid prefix still reads.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(len - 3).unwrap();
+        let journal = read_trials(&AofDb::open_read(&path).unwrap(), &manifest);
+        assert!(journal.truncated);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1264,38 +1312,51 @@ mod tests {
     }
 
     #[test]
-    fn pre_v2_manifests_parse_with_defaults() {
+    fn pre_v2_manifests_are_rejected() {
         let manifest =
             RunManifest::for_run("demo", 1, 2, 3, vec!["a".into()], true, "0/1", Vec::new());
-        let mut v = manifest.to_json();
-        // Simulate a manifest written before the shard/space/durable-store
-        // fields existed.
-        if let Value::Obj(pairs) = &mut v {
-            pairs.retain(|(k, _)| {
-                ![
-                    "shard",
-                    "space",
-                    "space_hash",
-                    "positions",
-                    "counts",
-                    "config",
-                    "complete",
-                    "git_describe",
-                ]
-                .contains(&k.as_str())
-            });
+        assert_eq!(manifest.effective_positions(), [0]);
+        assert_eq!(manifest.effective_counts(), [2]);
+        let v = manifest.to_json();
+        assert_eq!(RunManifest::from_json(&v).unwrap(), manifest);
+        // `field` dropped (`None`) or replaced; returns the parse error.
+        let edited = |field: &str, replacement: Option<Value>| {
+            let Value::Obj(pairs) = &v else {
+                unreachable!("a manifest renders as an object")
+            };
+            let pairs = pairs
+                .iter()
+                .filter_map(|(k, val)| match (k == field, &replacement) {
+                    (false, _) => Some((k.clone(), val.clone())),
+                    (true, r) => r.clone().map(|r| (k.clone(), r)),
+                })
+                .collect::<Vec<_>>();
+            RunManifest::from_json(&Value::Obj(pairs))
+                .unwrap_err()
+                .to_string()
+        };
+        // Every field a pre-v2 manifest lacked is now required.
+        for field in [
+            "shard",
+            "space",
+            "space_hash",
+            "positions",
+            "counts",
+            "config",
+            "complete",
+            "git_describe",
+        ] {
+            let err = edited(field, None);
+            assert!(err.contains(&format!("'{field}'")), "{field}: {err}");
         }
-        let back = RunManifest::from_json(&v).unwrap();
-        assert_eq!(back.shard, "0/1");
-        assert_eq!(back.space, Vec::<String>::new());
-        assert_eq!(back.scenario, "demo");
-        // Pre-v2 stores had no completion marker: they parse as complete,
-        // with index-positions and global-seeds counts.
-        assert!(back.complete);
-        assert_eq!(back.space_hash, 0);
-        assert_eq!(back.config, None);
-        assert_eq!(back.effective_positions(), vec![0]);
-        assert_eq!(back.effective_counts(), vec![2]);
+        // Per-point fields must be parallel to the grid.
+        for field in ["positions", "counts"] {
+            let err = edited(field, Some(Value::Arr(Vec::new())));
+            assert!(err.contains(&format!("'{field}' has 0 entries")), "{err}");
+        }
+        // Another schema version is refused by name.
+        let err = edited("version", Some(Value::UInt(1)));
+        assert!(err.contains("'version' is 1"), "{err}");
     }
 
     #[test]
@@ -1321,20 +1382,8 @@ mod tests {
         });
         let back = RunManifest::from_json(&manifest.to_json()).unwrap();
         assert_eq!(back, manifest);
-        assert_eq!(back.effective_positions(), vec![1, 3]);
-        assert_eq!(back.effective_counts(), vec![2, 5]);
-    }
-
-    #[test]
-    fn append_grows_the_log() {
-        let path =
-            std::env::temp_dir().join(format!("ale-lab-append-{}.jsonl", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let records = sample_records();
-        append_jsonl(&path, &records[..1]).unwrap();
-        append_jsonl(&path, &records[1..]).unwrap();
-        assert_eq!(load_jsonl(&path).unwrap(), records);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(back.effective_positions(), [1, 3]);
+        assert_eq!(back.effective_counts(), [2, 5]);
     }
 
     #[test]
@@ -1347,61 +1396,13 @@ mod tests {
     }
 
     #[test]
-    fn recover_returns_the_valid_prefix_of_a_torn_log() {
-        let path = std::env::temp_dir().join(format!("ale-lab-torn-{}.jsonl", std::process::id()));
-        let records = sample_records();
-        let text = String::from_utf8(jsonl_bytes(&records)).unwrap();
-
-        // Intact log: full records, no truncation.
-        std::fs::write(&path, &text).unwrap();
-        let (got, truncated) = load_jsonl_recover(&path).unwrap();
-        assert_eq!(got, records);
-        assert!(!truncated);
-        // Plain load still succeeds on intact logs…
-        assert!(load_jsonl(&path).is_ok());
-
-        // Mid-line truncation: the prefix survives, the flag is set, and
-        // the strict loader errors loudly.
-        std::fs::write(&path, &text[..text.len() - 17]).unwrap();
-        let (got, truncated) = load_jsonl_recover(&path).unwrap();
-        assert_eq!(got, records[..1]);
-        assert!(truncated);
-        assert!(load_jsonl(&path).is_err());
-
-        // Truncation exactly at the record boundary (missing final
-        // newline): the record is kept, the flag still reports a cut.
-        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
-        let (got, truncated) = load_jsonl_recover(&path).unwrap();
-        assert_eq!(got, records);
-        assert!(truncated);
-
-        // A malformed line with records after it is corruption, not a
-        // torn tail: hard error even in recovery mode.
-        let lines: Vec<&str> = text.lines().collect();
-        std::fs::write(&path, format!("{}broken\n{}\n", "", lines[1])).unwrap();
-        assert!(load_jsonl_recover(&path).is_err());
-
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn summary_rows_are_served_from_the_store() {
         let dir = std::env::temp_dir().join(format!("ale-lab-sumrows-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let records = sample_records();
-        let summary = sample_summary(&records);
-        let manifest = RunManifest::for_run(
-            "demo",
-            1,
-            1,
-            1,
-            vec!["cell-a".into(), "cell-b".into()],
-            false,
-            "0/1",
-            Vec::new(),
-        );
-        write_run(&dir, &manifest, &records, &summary).unwrap();
-        let rows = load_summary_rows(&dir).unwrap().expect("rows stored");
+        let manifest = sample_manifest("0/1", Vec::new());
+        write_store(&dir, &manifest, &records);
+        let rows = load_summary_rows(&dir).unwrap();
         let msgs: Vec<&StoredSummaryRow> = rows.iter().filter(|r| r.metric == "messages").collect();
         assert_eq!(msgs.len(), 2);
         let a = msgs.iter().find(|r| r.point == "cell-a").unwrap();
@@ -1428,7 +1429,6 @@ mod tests {
         // Raising a point's expected count reopens a gap, and a missing
         // journal leaves everything missing.
         let mut wider = manifest.clone();
-        wider.positions = vec![0, 1];
         wider.counts = vec![3, 1];
         assert_eq!(missing_trials(&dir, &wider).unwrap(), 2);
         let empty = std::env::temp_dir().join(format!("ale-lab-nodb-{}", std::process::id()));
@@ -1436,14 +1436,17 @@ mod tests {
         assert_eq!(missing_trials(&empty, &manifest).unwrap(), 2);
         std::fs::remove_dir_all(&empty).ok();
 
-        // No journal → None (callers fall back to summary.csv).
+        // Without a journal there is nothing to serve: an error naming
+        // the journal, not a fallback.
         std::fs::remove_file(dir.join("trials.db")).unwrap();
         write_atomic(
             &dir.join("manifest.json"),
             (manifest.to_json().render_pretty() + "\n").as_bytes(),
         )
         .unwrap();
-        assert_eq!(load_summary_rows(&dir).unwrap(), None);
+        let err = load_summary_rows(&dir).unwrap_err();
+        assert!(matches!(err, LabError::BadRecord(_)), "{err}");
+        assert!(err.to_string().contains("no trials.db journal"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

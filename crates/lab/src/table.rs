@@ -1,4 +1,4 @@
-//! Table/series emitters: markdown for EXPERIMENTS.md, CSV and JSON for
+//! Table/series emitters: markdown for scenario reports, CSV and JSON for
 //! downstream plotting.
 
 use crate::json::ToJson;

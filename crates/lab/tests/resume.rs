@@ -1,11 +1,13 @@
 //! Kill-and-resume durability, pinned end to end:
 //!
-//! 1. a run killed at any point — torn `trials.db` tail, torn
-//!    `trials.jsonl` line, missing views, missing journal — is completed
-//!    in place by `run --resume`, and every stored file is
-//!    **byte-identical** to an uninterrupted run at any worker count;
+//! 1. a run killed at any point — torn `trials.db` tail, torn or stale
+//!    views, missing views, missing journal — is completed in place by
+//!    `run --resume`, and every stored file is **byte-identical** to an
+//!    uninterrupted run at any worker count. Resume reads only the
+//!    manifest and the journal; the views are rewritten, never read;
 //! 2. resume refuses drifted parameter spaces, merged-partial shards,
-//!    and pre-store manifests loudly instead of silently recomputing.
+//!    and manifests without an invocation config loudly instead of
+//!    silently recomputing.
 
 use ale_lab::engine::{execute, resume, RunSpec};
 use ale_lab::json::ToJson;
@@ -118,7 +120,7 @@ fn killed_runs_resume_byte_identical_at_any_worker_count() {
     }
 
     // Crash state C: journal lost entirely but a JSONL prefix survived —
-    // the surviving records are re-journaled, the rest recomputed.
+    // the views are not an input, so every trial is recomputed.
     let dir = tmp("jsonl-only");
     std::fs::create_dir_all(&dir).unwrap();
     for (name, bytes) in &baseline {
@@ -177,11 +179,12 @@ fn resume_refuses_drift_merged_partials_and_pre_store_manifests() {
     let err = resume(&dir, None, false).expect_err("merged partial must refuse");
     assert!(err.to_string().contains("merged partial"), "{err}");
 
-    // A pre-store manifest records no invocation config to re-expand.
+    // A manifest with no invocation config (a merge of runs whose
+    // configs differ) has nothing to re-expand.
     let mut old = manifest.clone();
     old.config = None;
     rewrite(&old);
-    let err = resume(&dir, None, false).expect_err("pre-store must refuse");
+    let err = resume(&dir, None, false).expect_err("no config must refuse");
     assert!(matches!(err, LabError::BadArgs(_)), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -9,9 +9,9 @@
 
 use ale::graph::Topology;
 
-/// The bench crate is not a dependency of the umbrella crate (it is the
-/// harness, not the library), so this example carries its own tiny driver.
-mod ale_bench_shim {
+/// The umbrella crate exports the protocols, not an experiment driver,
+/// so this example carries its own tiny one.
+mod driver {
     use ale::baselines::flood_max::{run_flood_max, FloodMaxConfig};
     use ale::baselines::gilbert::{run_gilbert, GilbertConfig};
     use ale::baselines::kutten::{run_kutten, KuttenConfig};
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (topo, story) in scenarios {
-        let bench = ale_bench_shim::Bench::new(topo, 1)?;
+        let bench = driver::Bench::new(topo, 1)?;
         println!("\n== {topo}: {story}");
         println!(
             "   n = {}, m = {}, D = {}, t_mix ≤ {}, Φ ≈ {:.3}",
