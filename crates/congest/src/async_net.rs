@@ -32,6 +32,9 @@
 //!   staged or metered, virtual time does not advance, and the tick's
 //!   input messages are retained for inspection/retry; multi-send
 //!   violations recorded before the failure stick.
+//! * Wake hints ([`Process::wake_round`]) are ignored: every active node
+//!   executes every tick, which the hint's contract allows. Only the
+//!   arena engine parks.
 //!
 //! ## Determinism
 //!

@@ -6,14 +6,19 @@
 //! message through each port; all messages are delivered before the next
 //! round; links and nodes do not fail.
 //!
-//! # Engine design: zero allocation per round
+//! # Engine design: zero allocation per round, work only where it happens
 //!
-//! A round has four stages — compute, send, commit, deliver — all running
-//! on buffers owned by the network whose capacity persists across rounds:
+//! A round has five stages — wake, compute, send, commit, deliver — all
+//! running on buffers owned by the network whose capacity persists across
+//! rounds:
 //!
-//! 1. **compute** — every *active* (non-halted) process runs
-//!    [`Process::round`] against its slice of the flat inbox arena
-//!    (`in_arena[in_start[v]..in_end[v]]`);
+//! 0. **wake** — parked processes whose wake round has come, or that
+//!    received mail last round, merge back into the ascending **awake
+//!    list** (skipped outright when nothing is parked);
+//! 1. **compute** — every *awake* process runs [`Process::round`] against
+//!    its slice of the flat inbox arena (`in_arena[in_start[v]..in_end[v]]`),
+//!    then answers [`Process::wake_round`]: a process that promises its
+//!    next silent rounds are no-ops is queued to **park**;
 //! 2. **send** — each [`OutCtx::send`] validates the port, stamps the
 //!    port-use mark (multi-send detection without a per-node `Vec<bool>`),
 //!    accumulates [`bit_size`](crate::message::Payload::bit_size) into a
@@ -23,21 +28,28 @@
 //!    folded into the metrics *once per round* at commit, so commit never
 //!    rescans messages and the hot path never touches the `Metrics`
 //!    struct;
-//! 3. **commit** — a stable counting sort by target (bucket offsets from
-//!    the per-target counts accumulated during sends, then a destination
-//!    index per staged message) lays out where every message belongs;
+//! 3. **commit** — queued parks take effect (a timer set keyed by
+//!    `(wake round, node)`, O(n) memory) and halted or parked nodes leave
+//!    the awake list; then a stable counting sort by target (bucket
+//!    offsets from the per-target counts accumulated during sends, then a
+//!    destination index per staged message) lays out where every message
+//!    belongs;
 //! 4. **deliver** — the staging buffer is gathered through those indices
 //!    into the recycled inbox arena (one `Msg::clone` per delivery — a
 //!    memcpy for the `Copy`-like payloads protocols use; a payload owning
 //!    heap data would pay one allocation per delivered message here);
 //!    per-target `(start, end)` ranges become next round's inboxes. Only
-//!    buckets touched this round are reset, so a quiet round costs
-//!    `O(active + messages)`, not `O(n)`.
+//!    buckets touched this round are reset.
 //!
-//! Halted processes leave the **active set** permanently (see the
-//! [`Process::is_halted`] invariant), making [`Network::all_halted`] O(1)
-//! and letting mostly-halted networks step in time proportional to the
-//! survivors, not the graph.
+//! A round therefore costs `O(awake + woken + messages)`, plus `O(log n)`
+//! per park and wake — not `O(n)`, and not `O(non-halted)`: a protocol
+//! that is silent almost everywhere (Theorem 1's protocol sends
+//! Õ(√(n·t_mix/Φ)) messages over O(t_mix·log² n) rounds) pays for the
+//! nodes that act, not for the nodes that wait. Halted processes leave
+//! for good (see the [`Process::is_halted`] invariant), making
+//! [`Network::all_halted`] O(1).
+//! A process that never parks (the default hint) keeps the awake list
+//! equal to the non-halted set, and the wake and park steps never run.
 //!
 //! # Engine invariants
 //!
@@ -55,6 +67,12 @@
 //!   advance, and inboxes are preserved for inspection. Multi-send
 //!   violations recorded before the failure stick (they already happened).
 //! * **Halting is permanent** (see [`Process::is_halted`]).
+//! * **Parking is a promise** (see [`Process::wake_round`]): a parked
+//!   process is skipped only for rounds in which it would have done
+//!   nothing, so parking is invisible to every process and every counter.
+//!   Parks are applied at commit, so a failed round parks nobody, and
+//!   [`Network::active_count`], [`Network::all_halted`] and
+//!   [`RoundInfo::active`] count parked processes as live.
 
 use crate::error::CongestError;
 use crate::metrics::{Metrics, RoundInfo, RoundTrace};
@@ -63,6 +81,7 @@ use crate::trace::{TraceSink, TraceSlot};
 use ale_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 /// Why a multi-round run returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +157,21 @@ pub struct Network<'g, P: Process> {
     /// stamped per node visit — never cleared, `max_degree` entries total.
     port_marks: Vec<u64>,
     mark: u64,
-    /// Non-halted node ids, ascending. Nodes leave when they halt and
-    /// never return (see the `Process::is_halted` invariant).
-    active: Vec<u32>,
+    /// Awake node ids, ascending: non-halted and not parked. Nodes leave
+    /// when they halt (for good, see the `Process::is_halted` invariant)
+    /// or park, and parked nodes merge back in when they wake.
+    awake: Vec<u32>,
+    /// Parked nodes keyed by `(wake round, node)` (see
+    /// [`Process::wake_round`]); at most one entry per node.
+    parked: BTreeSet<(u64, u32)>,
+    /// Per-node wake round while parked, 0 while awake or halted (a park
+    /// is always for a round ≥ 2, so 0 is never a real wake round).
+    wake_at: Vec<u64>,
+    /// Park decisions of the round in progress, applied at commit.
+    parks: Vec<(u32, u64)>,
+    /// Wake scratch: nodes woken this round, then the merged awake list.
+    woken: Vec<u32>,
+    merged: Vec<u32>,
     /// Streaming per-round observer (see [`crate::trace`]); empty unless
     /// a sink was set explicitly or a thread-local factory was installed.
     sink: TraceSlot,
@@ -168,7 +199,7 @@ impl<'g, P: Process> Network<'g, P> {
     fn build(graph: &'g Graph, procs: Vec<P>, rngs: Vec<StdRng>, budget_bits: usize) -> Self {
         let n = graph.n();
         assert!(n <= u32::MAX as usize, "node ids must fit in u32");
-        let active = (0..n)
+        let awake = (0..n)
             .filter(|&v| !procs[v].is_halted())
             .map(|v| v as u32)
             .collect();
@@ -190,7 +221,12 @@ impl<'g, P: Process> Network<'g, P> {
             prev_touched: Vec::new(),
             port_marks: vec![0; graph.max_degree()],
             mark: 0,
-            active,
+            awake,
+            parked: BTreeSet::new(),
+            wake_at: vec![0; n],
+            parks: Vec::new(),
+            woken: Vec::new(),
+            merged: Vec::new(),
             sink: TraceSlot::attach(),
         }
     }
@@ -267,11 +303,13 @@ impl<'g, P: Process> Network<'g, P> {
     /// and the round counter does not advance.
     pub fn step(&mut self) -> Result<(), CongestError> {
         debug_assert!(self.staged_msgs.is_empty() && self.touched.is_empty());
+        debug_assert!(self.parks.is_empty());
+        self.wake();
         let mut stats = RoundStats::default();
         let mut failure: Option<CongestError> = None;
         let mut any_halted = false;
 
-        // Compute + send: drive every active process; sends stream into
+        // Compute + send: drive every awake process; sends stream into
         // the staging arena through the node's `OutCtx`.
         {
             let Network {
@@ -289,10 +327,12 @@ impl<'g, P: Process> Network<'g, P> {
                 touched,
                 port_marks,
                 mark,
-                active,
+                awake,
+                parks,
                 ..
             } = self;
-            for &v in active.iter() {
+            let next = *round + 1;
+            for &v in awake.iter() {
                 let v = v as usize;
                 let degree = graph.degree(v);
                 let inbox = &in_arena[in_start[v] as usize..in_end[v] as usize];
@@ -324,6 +364,11 @@ impl<'g, P: Process> Network<'g, P> {
                 }
                 if procs[v].is_halted() {
                     any_halted = true;
+                } else {
+                    let wake = procs[v].wake_round(next);
+                    if wake > next {
+                        parks.push((v as u32, wake));
+                    }
                 }
             }
         }
@@ -342,15 +387,27 @@ impl<'g, P: Process> Network<'g, P> {
                 self.counts[t as usize] = 0;
             }
             self.touched.clear();
-            // Nodes that ran before the failure may have halted.
+            // Nodes that ran before the failure may have halted; none
+            // parks, since the retried round runs them again.
+            self.parks.clear();
             let procs = &self.procs;
-            self.active.retain(|&v| !procs[v as usize].is_halted());
+            self.awake.retain(|&v| !procs[v as usize].is_halted());
             return Err(e);
         }
 
-        if any_halted {
-            let procs = &self.procs;
-            self.active.retain(|&v| !procs[v as usize].is_halted());
+        if any_halted || !self.parks.is_empty() {
+            for &(v, wake) in &self.parks {
+                self.wake_at[v as usize] = wake;
+                self.parked.insert((wake, v));
+            }
+            self.parks.clear();
+            let Network {
+                procs,
+                wake_at,
+                awake,
+                ..
+            } = self;
+            awake.retain(|&v| wake_at[v as usize] == 0 && !procs[v as usize].is_halted());
         }
 
         // Commit: group the staging arena by target with a stable counting
@@ -430,11 +487,56 @@ impl<'g, P: Process> Network<'g, P> {
             messages: stats.messages,
             bits: stats.bits,
             max_bits: stats.max_bits,
-            active: self.active.len(),
+            active: self.active_count(),
             buffer_cap: self.in_arena.capacity(),
         });
         self.round += 1;
         Ok(())
+    }
+
+    /// Moves the parked nodes due this round back into the awake list:
+    /// those whose timer fired and those with mail in their inbox (last
+    /// round's delivery targets). Merging keeps the list ascending, so
+    /// inboxes stay in sender-id order. Free when nothing is parked.
+    fn wake(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        self.woken.clear();
+        while let Some(&(wake, v)) = self.parked.first() {
+            if wake > self.round {
+                break;
+            }
+            self.parked.pop_first();
+            self.wake_at[v as usize] = 0;
+            self.woken.push(v);
+        }
+        for &t in &self.prev_touched {
+            let wake = std::mem::take(&mut self.wake_at[t as usize]);
+            if wake != 0 {
+                self.parked.remove(&(wake, t));
+                self.woken.push(t);
+            }
+        }
+        if self.woken.is_empty() {
+            return;
+        }
+        self.woken.sort_unstable();
+        let (awake, woken) = (&self.awake, &self.woken);
+        self.merged.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < awake.len() && j < woken.len() {
+            if awake[i] < woken[j] {
+                self.merged.push(awake[i]);
+                i += 1;
+            } else {
+                self.merged.push(woken[j]);
+                j += 1;
+            }
+        }
+        self.merged.extend_from_slice(&awake[i..]);
+        self.merged.extend_from_slice(&woken[j..]);
+        std::mem::swap(&mut self.awake, &mut self.merged);
     }
 
     /// Runs until every process halts, up to `max_rounds`.
@@ -487,15 +589,16 @@ impl<'g, P: Process> Network<'g, P> {
         }
     }
 
-    /// True when every process reports halted — O(1): the engine keeps a
-    /// halted count instead of polling all `n` processes per round.
+    /// True when every process reports halted — O(1): the engine keeps
+    /// its awake and parked sets instead of polling all `n` processes per
+    /// round.
     pub fn all_halted(&self) -> bool {
-        self.active.is_empty()
+        self.awake.is_empty() && self.parked.is_empty()
     }
 
-    /// Number of processes that have not halted yet.
+    /// Number of processes that have not halted yet (awake or parked).
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.awake.len() + self.parked.len()
     }
 
     /// Current round number (rounds executed so far).

@@ -290,6 +290,26 @@ pub trait Process {
         false
     }
 
+    /// The first round at or after `next` in which this process may act
+    /// on its own — a scheduling hint, asked right after every round the
+    /// process runs (with `next` = that round + 1).
+    ///
+    /// **Engine invariant — parking is a promise.** Returning `w > next`
+    /// promises that [`Process::round`] called with an *empty* inbox at
+    /// any round in `[next, w)` would change no state and no output, draw
+    /// no randomness and send nothing. An engine may then skip those
+    /// calls: the arena [`Network`](crate::network::Network) parks the
+    /// node until round `w`, or until a message is delivered to it,
+    /// whichever comes first. A message always wakes the node for the
+    /// round it arrives in, so the promise covers only silent rounds.
+    ///
+    /// The default `next` promises nothing, and engines may ignore the
+    /// hint altogether (the reference and asynchronous engines do, which
+    /// makes them the oracle for it).
+    fn wake_round(&self, next: u64) -> u64 {
+        next
+    }
+
     /// The process's current output (may change over time for revocable
     /// protocols — that is the point of revocability).
     fn output(&self) -> Self::Output;

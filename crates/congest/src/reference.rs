@@ -11,10 +11,12 @@
 //!
 //! * **equivalence testing** — `crates/congest/tests/equivalence.rs` pins
 //!   that the arena engine is observationally identical (outputs, metrics,
-//!   per-round traces) on seeded graphs, including mid-run halts and the
-//!   invalid-port drop-the-round path;
-//! * **benchmarking** — `benches/simulator.rs` measures the arena engine's
-//!   speedup against this baseline.
+//!   per-round traces) on seeded graphs, including mid-run halts, parked
+//!   processes and the invalid-port drop-the-round path — this engine
+//!   ignores [`Process::wake_round`] and runs every silent round, so it
+//!   is the oracle for the arena engine's parking;
+//! * **benchmarking** — `ale-lab bench` (its simulator cases) measures
+//!   the arena engine's speedup against this baseline.
 //!
 //! Do not use it for experiments: it allocates per node per round and
 //! scans all `n` nodes even when almost everything has halted. It is kept

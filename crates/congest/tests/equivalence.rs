@@ -2,17 +2,21 @@
 //!
 //! The flat-arena engine (`Network`) must be observationally identical to
 //! the pre-arena reference engine (`ReferenceNetwork`): for the same graph
-//! and seed, outputs, metrics, and per-round traces match byte for byte —
-//! no process can tell which engine is driving it. These tests pin that on
-//! seeded random-regular and torus graphs, through mid-run halts,
-//! multi-sends, congest-oversized payloads, and the invalid-port
-//! drop-the-round path.
+//! and seed, outputs, metrics, per-round traces and the streaming sink's
+//! round records match byte for byte — no process can tell which engine
+//! is driving it. These tests pin that on seeded random-regular and torus
+//! graphs, through mid-run halts, multi-sends, congest-oversized payloads,
+//! parked processes (`Process::wake_round`, which only the arena engine
+//! honours — the reference engine runs every silent round, so it is the
+//! oracle for the hint), and the invalid-port drop-the-round path.
 
 use ale_congest::{
-    CongestError, Incoming, Metrics, Network, NodeCtx, OutCtx, Process, ReferenceNetwork, RunStatus,
+    CongestError, Incoming, Metrics, Network, NodeCtx, OutCtx, Process, ReferenceNetwork,
+    RoundInfo, RunStatus, TraceSink,
 };
 use ale_graph::{Graph, ImplicitTopology, Topology};
 use rand::Rng;
+use std::sync::{Arc, Mutex};
 
 /// A deliberately messy protocol that exercises every metering path:
 ///
@@ -21,12 +25,24 @@ use rand::Rng;
 /// * payload sizes crossing the CONGEST budget (oversize charging),
 /// * random mid-run halts, staggered per node,
 /// * RNG consumption that depends on received messages (so any delivery
-///   difference snowballs into divergent outputs within a round or two).
+///   difference snowballs into divergent outputs within a round or two),
+/// * random dozes with honest wake hints: a dozing node ignores silent
+///   rounds until its wake round, and mail wakes it early.
 #[derive(Debug, Clone)]
 struct Chaos {
     acc: u64,
     halt_round: u64,
     done: bool,
+    /// Silent rounds before this one (or before `halt_round`, if that is
+    /// earlier) are no-ops: the wake hint.
+    sleep_until: u64,
+    /// Rounds this node acted in after being parked: woken by its timer,
+    /// or by mail before the timer.
+    timer_wakes: u64,
+    mail_wakes: u64,
+    /// The last round the node acted in, and the last one it woke in.
+    acted: Option<u64>,
+    woke: Option<u64>,
 }
 
 impl Process for Chaos {
@@ -34,6 +50,21 @@ impl Process for Chaos {
     type Output = u64;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+        let timer = self.wake_round(0);
+        if inbox.is_empty() && ctx.round < timer {
+            return; // dozing: exactly the no-op `wake_round` promised
+        }
+        // The arena engine parked this node after its last round iff the
+        // hint it gave then (unchanged since) was past the next round.
+        if self.acted.is_some_and(|a| timer > a + 1) {
+            if ctx.round < timer {
+                self.mail_wakes += 1;
+            } else {
+                self.timer_wakes += 1;
+            }
+            self.woke = Some(ctx.round);
+        }
+        self.acted = Some(ctx.round);
         for m in inbox {
             // Arrival order and port tags feed the accumulator, so the
             // engines must agree on both.
@@ -67,10 +98,19 @@ impl Process for Chaos {
                 out.send(0, msg ^ 1); // multi-send violation, delivered anyway
             }
         }
+        self.sleep_until = if ctx.rng.gen_bool(0.4) {
+            ctx.round + 2 + ctx.rng.gen_range(0..6)
+        } else {
+            0
+        };
     }
 
     fn is_halted(&self) -> bool {
         self.done
+    }
+
+    fn wake_round(&self, next: u64) -> u64 {
+        self.sleep_until.min(self.halt_round).max(next)
     }
 
     fn output(&self) -> u64 {
@@ -83,14 +123,54 @@ fn chaos_factory(seed_mix: u64) -> impl FnMut(usize, &mut rand::rngs::StdRng) ->
         acc: rng.gen(),
         halt_round: 2 + (rng.gen::<u64>() ^ seed_mix) % 14, // staggered halts
         done: false,
+        sleep_until: 0,
+        timer_wakes: 0,
+        mail_wakes: 0,
+        acted: None,
+        woke: None,
     }
 }
 
-fn assert_equivalent_run(graph: &Graph, seed: u64, budget: usize, rounds: u64) {
+/// The engine-independent fields of every [`RoundInfo`] a sink saw
+/// (`buffer_cap` is engine-specific by definition).
+type Rounds = Arc<Mutex<Vec<(u64, u64, u64, usize, usize)>>>;
+
+struct Recorder(Rounds);
+
+impl TraceSink for Recorder {
+    fn on_round(&mut self, i: &RoundInfo) {
+        let row = (i.round, i.messages, i.bits, i.max_bits, i.active);
+        self.0.lock().unwrap().push(row);
+    }
+}
+
+fn record<P: Process>(
+    net: &mut Network<'_, P>,
+    reference: &mut ReferenceNetwork<'_, P>,
+) -> [Rounds; 2] {
+    let rounds: [Rounds; 2] = Default::default();
+    net.set_trace_sink(Box::new(Recorder(rounds[0].clone())));
+    reference.set_trace_sink(Box::new(Recorder(rounds[1].clone())));
+    rounds
+}
+
+/// How often a run exercised each way of leaving a doze.
+#[derive(Debug, Default)]
+struct Wakes {
+    timer: u64,
+    mail: u64,
+    /// Woken nodes that acted in a round together with awake nodes of
+    /// both a lower and a higher id — merged into the middle of the list.
+    merged: u64,
+}
+
+fn assert_equivalent_run(graph: &Graph, seed: u64, budget: usize, rounds: u64) -> Wakes {
     let mut arena = Network::from_fn(graph, seed, budget, chaos_factory(seed));
     let mut reference = ReferenceNetwork::from_fn(graph, seed, budget, chaos_factory(seed));
     arena.enable_trace();
     reference.enable_trace();
+    let sinks = record(&mut arena, &mut reference);
+    let mut wakes = Wakes::default();
 
     // Step in lockstep, comparing metrics snapshots after every round so a
     // divergence is pinned to the exact round it first appears in.
@@ -103,22 +183,49 @@ fn assert_equivalent_run(graph: &Graph, seed: u64, budget: usize, rounds: u64) {
             reference.metrics_snapshot(),
             "metrics diverged at round {r}"
         );
+        let procs = arena.processes();
+        let awake = |v: &usize| procs[*v].acted == Some(r) && procs[*v].woke != Some(r);
+        for v in (0..procs.len()).filter(|&v| procs[v].woke == Some(r)) {
+            if (0..v).any(|u| awake(&u)) && (v + 1..procs.len()).any(|w| awake(&w)) {
+                wakes.merged += 1;
+            }
+        }
         r += 1;
     }
     assert_eq!(arena.all_halted(), reference.all_halted());
     assert_eq!(arena.round(), reference.round());
     assert_eq!(arena.outputs(), reference.outputs(), "outputs diverged");
     assert_eq!(arena.trace(), reference.trace(), "traces diverged");
+    assert_eq!(
+        *sinks[0].lock().unwrap(),
+        *sinks[1].lock().unwrap(),
+        "sink round records diverged"
+    );
+    for (a, b) in arena.processes().iter().zip(reference.processes()) {
+        assert_eq!((a.timer_wakes, a.mail_wakes), (b.timer_wakes, b.mail_wakes));
+        wakes.timer += a.timer_wakes;
+        wakes.mail += a.mail_wakes;
+    }
+    wakes
 }
 
 #[test]
 fn equivalent_on_random_regular_graphs() {
+    let mut wakes = Wakes::default();
     for (n, d, gseed) in [(20usize, 3usize, 5u64), (40, 4, 2), (64, 4, 3)] {
         let g = Topology::RandomRegular { n, d }.build(gseed).unwrap();
         for seed in 0..8 {
-            assert_equivalent_run(&g, seed, 8, 64);
+            let w = assert_equivalent_run(&g, seed, 8, 64);
+            wakes.timer += w.timer;
+            wakes.mail += w.mail;
+            wakes.merged += w.merged;
         }
     }
+    // Every way back from a park is exercised, not just possible.
+    assert!(
+        wakes.timer > 0 && wakes.mail > 0 && wakes.merged > 0,
+        "{wakes:?}"
+    );
 }
 
 #[test]
@@ -173,12 +280,24 @@ fn equivalent_with_tight_congest_budget() {
 }
 
 /// Sends on a port the node does not have once `round == when`, on node
-/// draws where `trigger` is set; otherwise behaves like a quiet gossip.
+/// draws where `trigger` is set; otherwise a sparse gossip that parks: a
+/// node acts on multiples of its `period` (sending on port 0 if it is a
+/// `talker`) and on rounds it has mail, and dozes in between.
 #[derive(Debug)]
 struct Saboteur {
     trigger: bool,
     when: u64,
+    /// Attempts at round `when` that hit the bug; later retries succeed.
+    shots: u32,
+    talker: bool,
+    period: u64,
     sum: u64,
+}
+
+impl Saboteur {
+    fn armed(&self, round: u64) -> bool {
+        self.trigger && self.shots > 0 && round == self.when
+    }
 }
 
 impl Process for Saboteur {
@@ -186,15 +305,31 @@ impl Process for Saboteur {
     type Output = u64;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_>, inbox: &[Incoming<u64>], out: &mut OutCtx<'_, u64>) {
+        let due = ctx.round.is_multiple_of(self.period);
+        if inbox.is_empty() && !due && !self.armed(ctx.round) {
+            return; // dozing
+        }
         self.sum += inbox.iter().map(|m| m.msg).sum::<u64>();
-        if self.trigger && ctx.round == self.when {
+        if self.armed(ctx.round) {
+            self.shots -= 1;
             out.send(0, 1); // legal send before the bug: dropped with the round
             out.send(0, 2); // multi-send: recorded before the failure, sticks
             out.send(ctx.degree + 3, 9); // the bug
             out.send(0, 3); // after the failure: ignored
             return;
         }
-        out.broadcast(self.sum & 0x3F);
+        if due && self.talker {
+            out.send(0, self.sum & 0x3F);
+        }
+    }
+
+    fn wake_round(&self, next: u64) -> u64 {
+        let due = next.next_multiple_of(self.period);
+        if self.trigger && self.shots > 0 && (next..due).contains(&self.when) {
+            self.when
+        } else {
+            due
+        }
     }
 
     fn output(&self) -> u64 {
@@ -205,12 +340,16 @@ impl Process for Saboteur {
 #[test]
 fn invalid_port_drop_the_round_is_equivalent() {
     let g = Topology::RandomRegular { n: 12, d: 3 }.build(4).unwrap();
+    let when = 4;
     let make = |trigger_node: usize| {
         let mut v = 0usize;
         move |_deg: usize, _rng: &mut rand::rngs::StdRng| {
             let p = Saboteur {
                 trigger: v == trigger_node,
-                when: 3,
+                when,
+                shots: 2,
+                talker: v.is_multiple_of(3),
+                period: 2 + (v % 4) as u64,
                 sum: 1,
             };
             v += 1;
@@ -222,10 +361,18 @@ fn invalid_port_drop_the_round_is_equivalent() {
         let mut reference = ReferenceNetwork::from_fn(&g, 9, 8, make(trigger_node));
         arena.enable_trace();
         reference.enable_trace();
-        for _ in 0..3 {
+        let sinks = record(&mut arena, &mut reference);
+        for _ in 0..when {
             arena.step().unwrap();
             reference.step().unwrap();
         }
+        // The failing round runs with nodes parked in the arena engine.
+        let parked = arena
+            .processes()
+            .iter()
+            .filter(|p| p.wake_round(when) > when)
+            .count();
+        assert!(parked > 0, "no node parked across the failing round");
         let ae = arena.step().unwrap_err();
         let re = reference.step().unwrap_err();
         assert_eq!(ae, re, "same InvalidPort error");
@@ -234,16 +381,31 @@ fn invalid_port_drop_the_round_is_equivalent() {
         // violations recorded before the failure stick in both engines.
         assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
         assert_eq!(arena.round(), reference.round());
-        assert_eq!(arena.round(), 3, "failed round must not advance the clock");
+        assert_eq!(
+            arena.round(),
+            when,
+            "failed round must not advance the clock"
+        );
+        assert_eq!(arena.active_count(), g.n());
         // Inboxes were preserved: the next step re-runs the same round and
-        // fails identically (processes re-observe their inboxes but RNGs
-        // advanced — equivalently in both engines).
+        // fails identically (processes re-observe their inboxes —
+        // equivalently in both engines).
         let ae2 = arena.step().unwrap_err();
         let re2 = reference.step().unwrap_err();
         assert_eq!(ae2, re2);
         assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
         assert_eq!(arena.outputs(), reference.outputs());
+        // Nobody was left half-parked: the third attempt succeeds, re-runs
+        // every node that ran before the failures exactly as the reference
+        // engine does, and the run then continues in lockstep.
+        for _ in 0..24 {
+            arena.step().unwrap();
+            reference.step().unwrap();
+            assert_eq!(arena.metrics_snapshot(), reference.metrics_snapshot());
+        }
+        assert_eq!(arena.outputs(), reference.outputs());
         assert_eq!(arena.trace(), reference.trace());
+        assert_eq!(*sinks[0].lock().unwrap(), *sinks[1].lock().unwrap());
     }
 }
 

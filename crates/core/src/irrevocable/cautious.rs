@@ -243,6 +243,42 @@ impl ExecState {
         }
     }
 
+    /// Whether [`ExecState::step`] would be a no-op: send nothing, change
+    /// no state and draw no randomness. Only [`ExecState::on_message`] can
+    /// make a quiescent state active again — the fact the irrevocable
+    /// process's wake hint relies on to skip idle super-round slots.
+    ///
+    /// Mirrors `step` branch by branch: a stopped state is quiescent once
+    /// its stop wave is out; a running one when it sits below both
+    /// thresholds with nothing to report, nobody to (re-)activate and — if
+    /// active — no unused port left to invite through.
+    pub fn is_quiescent(&self) -> bool {
+        if self.status == Status::Stopped {
+            return !self.pending_stop;
+        }
+        let subtree = self.subtree();
+        if self.threshold >= self.final_threshold
+            || subtree >= self.threshold
+            || !self.pending_confirm.is_empty()
+        {
+            return false;
+        }
+        if self.discipline == ReportDiscipline::OnChange
+            && !self.is_root
+            && self.last_reported != Some(subtree)
+        {
+            return false;
+        }
+        self.status == Status::Passive
+            || (self.avail.is_empty()
+                && self.sizes.keys().all(|p| {
+                    matches!(
+                        self.believed.get(p),
+                        Some(Believed::Active) | Some(Believed::Stopped)
+                    )
+                }))
+    }
+
     /// Executes one broadcast step (the paper's per-super-round action),
     /// returning messages to send.
     pub fn step(&mut self, rng: &mut StdRng) -> Vec<(Port, CbBody)> {
@@ -572,6 +608,56 @@ mod tests {
         assert!(
             !out.iter().any(|(_, b)| matches!(b, CbBody::Size(_))),
             "OnCrossing must not report below threshold: {out:?}"
+        );
+    }
+
+    #[test]
+    fn quiescent_states_step_as_no_ops() {
+        // Random message storms against random states: whenever a state
+        // claims quiescence, a step must send nothing, change nothing
+        // (Debug output is the whole state) and draw nothing.
+        use rand::Rng;
+        let mut driver = StdRng::seed_from_u64(11);
+        let mut quiet_steps = 0u32;
+        for trial in 0..400u64 {
+            let degree = driver.gen_range(1..=6usize);
+            let final_threshold = driver.gen_range(2..=40u64);
+            let mut state = if driver.gen_bool(0.3) {
+                ExecState::new_root(trial, degree, final_threshold)
+            } else {
+                ExecState::new_member(trial, driver.gen_range(0..degree), degree, final_threshold)
+            };
+            if driver.gen_bool(0.3) {
+                state.set_discipline(ReportDiscipline::OnChange);
+            }
+            let mut r = StdRng::seed_from_u64(trial);
+            for _ in 0..60 {
+                if driver.gen_bool(0.3) {
+                    let port = driver.gen_range(0..degree);
+                    let body = match driver.gen_range(0..20u32) {
+                        0..=5 => CbBody::Activate,
+                        6..=11 => CbBody::Deactivate,
+                        12..=15 => CbBody::Size(driver.gen_range(1..=12)),
+                        16..=18 => CbBody::Invite,
+                        _ => CbBody::Stop,
+                    };
+                    state.on_message(port, &body);
+                }
+                if state.is_quiescent() {
+                    quiet_steps += 1;
+                    let before = format!("{state:?}");
+                    let mut twin = r.clone();
+                    assert!(state.step(&mut r).is_empty(), "{before}");
+                    assert_eq!(format!("{state:?}"), before);
+                    assert_eq!(r.gen::<u64>(), twin.gen::<u64>(), "{before}");
+                } else {
+                    state.step(&mut r);
+                }
+            }
+        }
+        assert!(
+            quiet_steps > 1000,
+            "too few quiescent states: {quiet_steps}"
         );
     }
 

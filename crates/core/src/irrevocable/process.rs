@@ -64,6 +64,9 @@ pub struct IrrevocableProcess {
     // Random walks (phase 3).
     tokens: u64,
     walk_id_max: Option<u64>,
+    /// Per-port token counts of the walk step in progress; all zero
+    /// between rounds, allocated on a node's first walk step.
+    moving: Vec<u64>,
     // Convergecast (phase 4).
     parent_ports: BTreeSet<Port>,
     last_converged: Option<u64>,
@@ -94,6 +97,7 @@ impl IrrevocableProcess {
             buffers: BTreeMap::new(),
             overflow_execs: 0,
             tokens: 0,
+            moving: Vec::new(),
             walk_id_max: if candidate { Some(id) } else { None },
             parent_ports: BTreeSet::new(),
             last_converged: None,
@@ -223,15 +227,19 @@ impl IrrevocableProcess {
 
     fn walk_round(&mut self, first: bool, rng: &mut StdRng, out: &mut OutCtx<'_, IrrMsg>) {
         let degree = self.params.degree;
-        let mut moving: Vec<u64> = vec![0; degree];
         if first {
             if !self.candidate {
                 return;
             }
+        } else if self.tokens == 0 {
+            return;
+        }
+        self.moving.resize(degree, 0);
+        if first {
             // Algorithm 5 lines 4–6: the candidate launches x tokens to
             // uniformly random neighbors.
             for _ in 0..self.params.x {
-                moving[rng.gen_range(0..degree)] += 1;
+                self.moving[rng.gen_range(0..degree)] += 1;
             }
         } else {
             // Lazy step: each resident token stays with probability 1/2.
@@ -241,20 +249,44 @@ impl IrrevocableProcess {
                 if rng.gen_bool(0.5) {
                     stayed += 1;
                 } else {
-                    moving[rng.gen_range(0..degree)] += 1;
+                    self.moving[rng.gen_range(0..degree)] += 1;
                 }
             }
             self.tokens = stayed;
         }
-        let id_max = match self.walk_id_max {
-            Some(id) => id,
-            None => return, // no tokens can be here without an ID
-        };
-        for (port, count) in moving.into_iter().enumerate() {
-            if count > 0 {
+        // No tokens can be here without an ID, so `None` sends nothing;
+        // the counts are zeroed either way for the next step.
+        let id_max = self.walk_id_max;
+        for (port, count) in self.moving.iter_mut().enumerate() {
+            let count = std::mem::take(count);
+            if let Some(id_max) = id_max.filter(|_| count > 0) {
                 out.send(port, IrrMsg::Walk { id_max, count });
             }
         }
+    }
+
+    /// The first broadcast round at or after `next` whose super-round
+    /// slot has work: an execution with buffered messages, or one whose
+    /// state is not [quiescent](ExecState::is_quiescent). Slots past
+    /// `exec_order.len()` and quiescent executions are no-ops, and
+    /// executions past the slot count never get a slot.
+    fn next_live_slot(&self, next: u64) -> Option<u64> {
+        let slots = self.params.slots;
+        let (base, offset) = (next - next % slots, next % slots);
+        self.exec_order
+            .iter()
+            .take(slots as usize)
+            .enumerate()
+            .filter(|(_, src)| self.buffers.contains_key(src) || !self.execs[src].is_quiescent())
+            .map(|(slot, _)| {
+                let slot = slot as u64;
+                if slot >= offset {
+                    base + slot
+                } else {
+                    base + slots + slot
+                }
+            })
+            .min()
     }
 
     fn converge_round(&mut self, first: bool, out: &mut OutCtx<'_, IrrMsg>) {
@@ -309,6 +341,36 @@ impl Process for IrrevocableProcess {
 
     fn is_halted(&self) -> bool {
         self.halted
+    }
+
+    /// Idle rounds are skipped phase by phase: broadcast slots with no
+    /// live execution, walk rounds without resident tokens (after the
+    /// candidates' launch round), and converge rounds after the first
+    /// once the node's walk maximum has been forwarded. Every node wakes
+    /// for the first converge round and for the decision round.
+    fn wake_round(&self, next: u64) -> u64 {
+        let p = &self.params;
+        let walk = p.broadcast_rounds;
+        let converge = walk + p.walk_rounds;
+        let decide = converge + p.converge_rounds;
+        if next == 0 || self.halted {
+            return next;
+        }
+        if next < walk {
+            match self.next_live_slot(next) {
+                Some(r) if r < walk => return r,
+                _ => {}
+            }
+        }
+        let next = next.max(walk);
+        if next < converge && ((next == walk && self.candidate) || self.tokens > 0) {
+            return next;
+        }
+        let next = next.max(converge);
+        if next < decide && (next == converge || self.walk_id_max != self.last_converged) {
+            return next;
+        }
+        next.max(decide)
     }
 
     fn output(&self) -> NodeVerdict {

@@ -4,7 +4,7 @@
 use ale::baselines::flood_max::{run_flood_max, FloodMaxConfig};
 use ale::baselines::gilbert::{run_gilbert, GilbertConfig};
 use ale::baselines::kutten::{run_kutten, KuttenConfig};
-use ale::congest::{congest_budget, AnyNetwork, EngineKind};
+use ale::congest::{congest_budget, AnyNetwork, EngineKind, RunStatus};
 use ale::core::irrevocable::{run_irrevocable, IrrevocableConfig, IrrevocableProcess};
 use ale::core::revocable::{run_revocable, run_revocable_async, RevocableParams};
 use ale::graph::{NetworkKnowledge, Topology};
@@ -104,7 +104,12 @@ fn congest_accounting_is_engine_invariant() {
             })
             .collect();
         let mut net = AnyNetwork::new(kind, &g, procs, 3, budget).expect("network");
-        net.run_for(cfg.broadcast_rounds()).expect("run");
+        // To halt, so every phase (and every wake point of the arena
+        // engine's parking: broadcast slots, walk start, converge start,
+        // the decision round) is audited, not just the broadcast.
+        let status = net.run_to_halt(cfg.total_rounds() + 4).expect("run");
+        assert_eq!(status, RunStatus::AllHalted, "{kind}");
+        assert_eq!(net.round(), cfg.total_rounds(), "{kind}");
         let m = net.metrics_snapshot();
         assert!(m.congest_clean(), "{kind}");
         assert_eq!(
@@ -112,7 +117,9 @@ fn congest_accounting_is_engine_invariant() {
             m.messages - m.dropped + m.duplicated,
             "{kind}: delivery counters must reconcile with sends"
         );
-        snapshots.push(m);
+        let leaders = net.outputs().iter().filter(|v| v.leader).count();
+        assert_eq!(leaders, 1, "{kind}: the lone candidate must win");
+        snapshots.push((m, net.outputs()));
     }
     assert_eq!(snapshots[0], snapshots[1], "arena vs reference");
     assert_eq!(snapshots[0], snapshots[2], "arena vs async");
